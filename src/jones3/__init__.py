@@ -40,8 +40,7 @@ from .rep2 import (
     classical_3sb,
     compile_gate,
     make_params,
-    rep_of_tl3,
 )
-from .tl3 import TL3Element, jones_exact, jones_rep, markov_trace, tl_mul
+from .tl3 import jones_exact, jones_rep, jones_value, markov_trace
 
 __version__ = "0.1.0"

@@ -1,97 +1,38 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
+"""The ordered product of a stack of 2x2 matrices, shared by every route.
 
-Backend selection, checked once at import:
-
-* ``JONES3_BACKEND=numba`` -- require the jitted kernels (error if numba
-  is missing),
-* ``JONES3_BACKEND=numpy`` -- force the pure-numpy path,
-* unset -- numba when importable, numpy otherwise.
-
-Both paths are exercised by the benchmark in benchmarks/bench_kernels.py.
+The classical and quantum routes reduce a complex stack of unitary gates;
+the exact route reduces an object stack whose entries are Laurent
+polynomials. Both go through the same lines.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - depends on environment
-    HAVE_NUMBA = False
+from .braid import BraidWord
 
 
-def _chain_product_seq(mats):
-    out = np.eye(2, dtype=np.complex128)
-    for k in range(mats.shape[0]):
-        out = out @ mats[k]
-    return out
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def chain_product_numba(mats):  # pragma: no cover - exercised via dispatch
-        a = 1.0 + 0j
-        b = 0.0 + 0j
-        c = 0.0 + 0j
-        d = 1.0 + 0j
-        for k in range(mats.shape[0]):
-            m00 = mats[k, 0, 0]
-            m01 = mats[k, 0, 1]
-            m10 = mats[k, 1, 0]
-            m11 = mats[k, 1, 1]
-            a, b = a * m00 + b * m10, a * m01 + b * m11
-            c, d = c * m00 + d * m10, c * m01 + d * m11
-        out = np.empty((2, 2), dtype=np.complex128)
-        out[0, 0] = a
-        out[0, 1] = b
-        out[1, 0] = c
-        out[1, 1] = d
-        return out
-
-
-def chain_product_numpy(mats):
-    """Ordered product of a stack of 2x2 matrices by pairwise tree reduction.
-
-    Adjacent pairs are multiplied in vectorized batches; associativity keeps
-    the result equal to the sequential product.
-    """
-    m = np.ascontiguousarray(mats, dtype=np.complex128)
-    if m.shape[0] == 0:
-        return np.eye(2, dtype=np.complex128)
-    while m.shape[0] > 1:
-        pairs = m.shape[0] // 2
-        reduced = m[0 : 2 * pairs : 2] @ m[1 : 2 * pairs : 2]
-        if m.shape[0] % 2:
-            m = np.concatenate([reduced, m[-1:]], axis=0)
-        else:
-            m = reduced
-    return m[0]
-
-
-def _select_backend() -> str:
-    requested = os.environ.get("JONES3_BACKEND", "").strip().lower()
-    if requested == "numba":
-        if not HAVE_NUMBA:
-            raise ImportError("JONES3_BACKEND=numba but numba is not importable")
-        return "numba"
-    if requested == "numpy":
-        return "numpy"
-    if requested:
-        raise ValueError(f"unknown JONES3_BACKEND {requested!r}")
-    return "numba" if HAVE_NUMBA else "numpy"
-
-
-BACKEND = _select_backend()
+def letter_codes(word: BraidWord) -> np.ndarray:
+    """Row of each letter in a (s1, s2, s1^-1, s2^-1) letter table."""
+    return np.fromiter(
+        ((letter.index - 1) + (0 if letter.sign > 0 else 2) for letter in word),
+        dtype=np.int64,
+        count=len(word),
+    )
 
 
 def chain_product(mats: np.ndarray) -> np.ndarray:
-    """Product of an (L, 2, 2) complex stack in order, identity when empty."""
-    mats = np.ascontiguousarray(mats, dtype=np.complex128)
-    if BACKEND == "numba":
-        return chain_product_numba(mats)
-    return chain_product_numpy(mats)
+    """Product of an (L, 2, 2) stack in order, the identity when empty.
+
+    Adjacent pairs are multiplied in vectorized batches; associativity keeps
+    the result equal to the sequential product. The dtype is kept, so the
+    same tree serves numeric and object stacks.
+    """
+    m = np.asarray(mats)
+    if m.shape[0] == 0:
+        return np.eye(2, dtype=m.dtype)
+    while m.shape[0] > 1:
+        pairs = m.shape[0] // 2
+        reduced = m[0 : 2 * pairs : 2] @ m[1 : 2 * pairs : 2]
+        m = np.concatenate([reduced, m[-1:]], axis=0) if m.shape[0] % 2 else reduced
+    return m[0]

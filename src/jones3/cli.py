@@ -9,7 +9,6 @@ variable and by --seed.
 from __future__ import annotations
 
 import argparse
-import cmath
 import json
 import math
 import os
@@ -20,9 +19,9 @@ import numpy as np
 
 from .bracket import CapExceeded, bracket_state_sum
 from .braid import BraidParseError, parse_braid, to_text, writhe
-from .hadamard import InvalidPrecision, quantum_3sb, shots_for
+from .hadamard import InvalidPrecision, NonUnitaryGate, quantum_3sb
 from .rep2 import PHI_MAX, OutsideUnitarityRegion, classical_3sb, make_params
-from .tl3 import jones_exact
+from .tl3 import jones_exact, jones_rep, markov_trace
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -62,44 +61,36 @@ def _resolve_phi(parser: argparse.ArgumentParser, args) -> float | None:
     return args.phi
 
 
+def _angle(params) -> dict:
+    return {"phi": params.phi, "theta": params.theta, "delta": params.delta}
+
+
+def _number(value: complex) -> dict:
+    return {"re": value.real, "im": value.imag}
+
+
 def _run_exact(word, phi):
     poly = jones_exact(word)
     report = {"polynomial": str(poly)}
     if phi is not None:
         params = make_params(phi)
-        value = poly.eval(params.alpha)
-        report.update(
-            phi=phi,
-            theta=params.theta,
-            delta=params.delta,
-            result={"re": value.real, "im": value.imag},
-        )
+        report.update(_angle(params), result=_number(poly.eval(params.alpha)))
     return report
 
 
 def _run_classical(word, phi):
     params = make_params(phi)
-    value = classical_3sb(word, params)
-    return {
-        "phi": phi,
-        "theta": params.theta,
-        "delta": params.delta,
-        "result": {"re": value.real, "im": value.imag},
-    }
+    return {**_angle(params), "result": _number(classical_3sb(word, params))}
 
 
 def _run_quantum(word, phi, eps1, eps2, seed, bound_mode):
-    params = make_params(phi)
-    plan = shots_for(eps1, eps2, bound_mode)
     value, estimate = quantum_3sb(word, phi, eps1, eps2, seed=seed, bound_mode=bound_mode)
     return {
-        "phi": phi,
-        "theta": params.theta,
-        "delta": params.delta,
-        "n": plan.n,
+        **_angle(make_params(phi)),
+        "n": estimate.n,
         "seed": seed,
         "bound_mode": bound_mode,
-        "result": {"re": value.real, "im": value.imag},
+        "result": _number(value),
         "trace_estimate": {
             "re": estimate.re_estimate,
             "im": estimate.im_estimate,
@@ -113,17 +104,8 @@ def _run_quantum(word, phi, eps1, eps2, seed, bound_mode):
 def _run_verify(word, phi, oracle_cap):
     poly = jones_exact(word)
     report: dict = {"polynomial": str(poly)}
-    ok = True
-
     if len(word) <= oracle_cap:
-        w = writhe(word)
-        from .laurent import LaurentPoly
-
-        framing = LaurentPoly.monomial(-1 if w % 2 else 1, 3 * w)
-        state_sum = framing * bracket_state_sum(word, cap=oracle_cap)
-        match = state_sum == poly
-        report["state_sum_match"] = match
-        ok = ok and match
+        report["state_sum_match"] = bracket_state_sum(word, cap=oracle_cap) == markov_trace(jones_rep(word))
 
     angles = [phi] if phi is not None else list(np.linspace(-PHI_MAX, PHI_MAX, 11)[1:-1])
     deviation = 0.0
@@ -132,8 +114,7 @@ def _run_verify(word, phi, oracle_cap):
         exact_value = poly.eval(params.alpha)
         deviation = max(deviation, abs(classical_3sb(word, params) - exact_value))
     report["oracle_deviation"] = deviation
-    ok = ok and deviation <= 1e-9
-    return report, ok
+    return report, deviation <= 1e-9 and report.get("state_sum_match", True)
 
 
 def _render_text(mode: str, report: dict) -> str:
@@ -149,6 +130,14 @@ def _render_text(mode: str, report: dict) -> str:
     return json.dumps(report["result"])
 
 
+def _env_int(parser: argparse.ArgumentParser, name: str, default: str) -> int:
+    text = os.environ.get(name, "") or default
+    try:
+        return int(text)
+    except ValueError:
+        parser.error(f"{name} must be an integer, got {text!r}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -159,7 +148,8 @@ def main(argv=None) -> int:
     if args.mode == "quantum" and (args.eps1 is None or args.eps2 is None):
         parser.error("--mode quantum requires --eps1 and --eps2")
 
-    seed = args.seed if args.seed is not None else int(os.environ.get("JONES3_SEED", "0"))
+    seed = args.seed if args.seed is not None else _env_int(parser, "JONES3_SEED", "0")
+    _env_int(parser, "JONES3_WORKERS", "1")  # read again by the shot sampler
 
     try:
         word = parse_braid(args.braid)
@@ -180,7 +170,7 @@ def main(argv=None) -> int:
             body, ok = _run_verify(word, phi, args.oracle_cap)
             report.update(body)
             status = 0 if ok else 4
-    except (BraidParseError, OutsideUnitarityRegion, InvalidPrecision, CapExceeded) as exc:
+    except (BraidParseError, OutsideUnitarityRegion, InvalidPrecision, NonUnitaryGate, CapExceeded) as exc:
         error = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         print(json.dumps(error))
         print(f"error: {exc}", file=sys.stderr)

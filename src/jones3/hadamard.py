@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .braid import BraidWord, writhe
-from .rep2 import compile_gate, make_params, writhe_phases
+from .rep2 import compile_gate, make_params
+from .tl3 import jones_value
 
 _SHOT_BLOCK = 4096
 _RE, _IM = 0, 1
@@ -120,8 +121,10 @@ def _count_zeros(p0: float, n: int, key: tuple[int, int, int]) -> int:
     """Zeros among n Bernoulli draws, tallied in fixed-size keyed blocks."""
     blocks = range(0, n, _SHOT_BLOCK)
     seed, circuit, entry = key
+    if not 0 <= seed < 1 << 64:
+        raise InvalidPrecision(f"seed must lie in [0, 2^64), got {seed}")
     # Injectively pack the stream coordinates into the 128-bit Philox key.
-    base = (seed & 0xFFFFFFFFFFFFFFFF) | (circuit << 64) | (entry << 65)
+    base = seed | (circuit << 64) | (entry << 65)
 
     def one_block(start: int) -> int:
         rng = np.random.Generator(np.random.Philox(key=base | (start << 66)))
@@ -144,45 +147,40 @@ class TraceEstimate:
     shot_counts: dict[str, list[tuple[int, int]]]
 
 
-def estimate_trace(gate: np.ndarray, n: int, seed: int = 0) -> TraceEstimate:
-    """Sampled estimate of tr(gate) from 4n keyed Hadamard-test shots."""
+def _tally(gate: np.ndarray, n: int, seed: int, circuit: int) -> tuple[float, list[tuple[int, int]]]:
+    """One circuit's trace part and its (zeros, ones) counts on each diagonal entry.
+
+    The real part sums P(0) - P(1) over the entries; the imaginary part sums
+    P(1) - P(0).
+    """
     _require_unitary(gate)
     if n < 1:
         raise InvalidPrecision(f"shot count must be >= 1, got {n}")
-    counts: dict[str, list[tuple[int, int]]] = {"re": [], "im": []}
-    re_est = 0.0
-    im_est = 0.0
-    for circuit, name in ((_RE, "re"), (_IM, "im")):
-        for k in (0, 1):
-            p0 = _prob_zero(gate, k, imag=circuit == _IM)
-            zeros = _count_zeros(p0, n, (seed, circuit, k))
-            counts[name].append((zeros, n - zeros))
-            balance = (2 * zeros - n) / n
-            if circuit == _RE:
-                re_est += balance
-            else:
-                im_est -= balance  # P(1) - P(0) carries the imaginary part
-    return TraceEstimate(re_est, im_est, n, seed, counts)
+    part = 0.0
+    counts = []
+    for k in (0, 1):
+        zeros = _count_zeros(_prob_zero(gate, k, imag=circuit == _IM), n, (seed, circuit, k))
+        counts.append((zeros, n - zeros))
+        balance = (2 * zeros - n) / n
+        part += -balance if circuit == _IM else balance
+    return part, counts
+
+
+def estimate_trace(gate: np.ndarray, n: int, seed: int = 0) -> TraceEstimate:
+    """Sampled estimate of tr(gate) from 4n keyed Hadamard-test shots."""
+    re_est, re_counts = _tally(gate, n, seed, _RE)
+    im_est, im_counts = _tally(gate, n, seed, _IM)
+    return TraceEstimate(re_est, im_est, n, seed, {"re": re_counts, "im": im_counts})
 
 
 def approx_re_trace(gate: np.ndarray, n: int, seed: int = 0) -> float:
     """Normalized (zeros - ones)/n summed over both diagonal entries."""
-    _require_unitary(gate)
-    total = 0.0
-    for k in (0, 1):
-        zeros = _count_zeros(_prob_zero(gate, k, imag=False), n, (seed, _RE, k))
-        total += (2 * zeros - n) / n
-    return total
+    return _tally(gate, n, seed, _RE)[0]
 
 
 def approx_im_trace(gate: np.ndarray, n: int, seed: int = 0) -> float:
     """Normalized (ones - zeros)/n summed over both diagonal entries."""
-    _require_unitary(gate)
-    total = 0.0
-    for k in (0, 1):
-        zeros = _count_zeros(_prob_zero(gate, k, imag=True), n, (seed, _IM, k))
-        total += (n - 2 * zeros) / n
-    return total
+    return _tally(gate, n, seed, _IM)[0]
 
 
 # --- end-to-end sampled evaluator ----------------------------------------
@@ -205,8 +203,5 @@ def quantum_3sb(
     gate = compile_gate(word, params)
     plan = shots_for(epsilon1, epsilon2, bound_mode)
     estimate = estimate_trace(gate, plan.n, seed)
-    w = writhe(word)
-    phase3, phase4 = writhe_phases(params.theta, params.phi, w)
     trace = estimate.re_estimate + 1j * estimate.im_estimate
-    value = phase3 * trace + (params.delta**2 - 2.0) * phase4
-    return value, estimate
+    return jones_value(trace, params.alpha, params.delta, writhe(word)), estimate

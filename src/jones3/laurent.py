@@ -90,8 +90,12 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "LaurentPoly":
+        if len(self._terms) == 1:
+            ((exp, coeff),) = self._terms.items()
+            if coeff in (1, -1):  # a unit: any integer power, in closed form
+                return LaurentPoly.monomial(coeff ** abs(exponent), exp * exponent)
         if exponent < 0:
-            raise ValueError("negative powers are only defined for the monomial A^-1")
+            raise ValueError("negative powers are only defined for the monomials +-A^k")
         result = ONE
         base = self
         n = exponent

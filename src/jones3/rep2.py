@@ -8,10 +8,8 @@ tr(E1 E2) = 1/delta^2 generate the elementary gates
     G_j = alpha I + alpha^-1 delta E_j = e^{i theta} I - 2 e^{-i theta} cos(2 theta) E_j,
 
 which are unitary exactly when |phi| <= 2 pi / 3. The trace of the compiled
-gate product recovers the Jones value via a writhe-dependent phase and the
-correction term (delta^2 - 2) on the identity component (the delta^2 - 2
-coefficient is forced by the identity element: closing three strands gives
-delta^2 while tr(I) = 2).
+gate product recovers the Jones value through ``tl3.jones_value``, the
+closure formula the exact route uses, evaluated at alpha.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ import numpy as np
 
 from . import _kernels
 from .braid import BraidWord, writhe
-from .tl3 import TL3Element
+from .tl3 import jones_value
 
 PHI_MAX = 2.0 * math.pi / 3.0
 
@@ -52,9 +50,9 @@ class RepParams:
 
 def make_params(phi: float) -> RepParams:
     """Build the full parameter bundle for evaluation angle phi (radians)."""
-    if abs(phi) > PHI_MAX + 1e-12:
+    if not abs(phi) <= PHI_MAX + 1e-12:  # also rejects NaN
         raise OutsideUnitarityRegion(
-            f"|phi| = {abs(phi):.6g} exceeds 2*pi/3; the 2x2 representation is undefined there"
+            f"|phi| = {abs(phi):.6g} is not at most 2*pi/3; the 2x2 representation is undefined there"
         )
     theta = -phi / 4.0
     delta = -2.0 * math.cos(2.0 * theta)
@@ -80,50 +78,13 @@ def make_params(phi: float) -> RepParams:
     return RepParams(phi, theta, alpha, delta, e1, e2, E1, E2, G1, G2, G1inv, G2inv)
 
 
-def _letter_codes(word: BraidWord) -> np.ndarray:
-    codes = np.fromiter(
-        ((letter.index - 1) + (0 if letter.sign > 0 else 2) for letter in word),
-        dtype=np.int64,
-        count=len(word),
-    )
-    return codes
-
-
 def compile_gate(word: BraidWord, params: RepParams) -> np.ndarray:
     """Ordered product of the elementary gates for each letter of the word."""
-    if len(word) == 0:
-        return np.eye(2, dtype=np.complex128)
     table = np.stack([params.G1, params.G2, params.G1inv, params.G2inv])
-    return _kernels.chain_product(table[_letter_codes(word)])
-
-
-def writhe_phases(theta: float, phi: float, w: int) -> tuple[complex, complex]:
-    """(-alpha^3)^w and (-alpha^4)^w = (-e^{-i phi})^w for integer writhe w."""
-    parity = -1.0 if w % 2 else 1.0
-    return parity * cmath.exp(3j * theta * w), parity * cmath.exp(-1j * phi * w)
+    return _kernels.chain_product(table[_kernels.letter_codes(word)])
 
 
 def classical_3sb(word: BraidWord, params: RepParams) -> complex:
     """Deterministic O(L) evaluation of the Jones value at t = e^{i phi}."""
     gate = compile_gate(word, params)
-    w = writhe(word)
-    phase3, phase4 = writhe_phases(params.theta, params.phi, w)
-    trace = gate[0, 0] + gate[1, 1]
-    return phase3 * trace + (params.delta**2 - 2.0) * phase4
-
-
-def rep_of_tl3(x: TL3Element, params: RepParams) -> np.ndarray:
-    """Evaluate an exact algebra element to its 2x2 matrix image.
-
-    Basis images: 1 -> I, U_j -> delta E_j, U1U2 -> delta^2 E1 E2,
-    U2U1 -> delta^2 E2 E1; coefficients are evaluated at alpha.
-    """
-    a = params.alpha
-    d = params.delta
-    return (
-        x.one.eval(a) * np.eye(2, dtype=np.complex128)
-        + x.u1.eval(a) * d * params.E1
-        + x.u2.eval(a) * d * params.E2
-        + x.u1u2.eval(a) * d * d * (params.E1 @ params.E2)
-        + x.u2u1.eval(a) * d * d * (params.E2 @ params.E1)
-    )
+    return jones_value(gate[0, 0] + gate[1, 1], params.alpha, params.delta, writhe(word))

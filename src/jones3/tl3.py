@@ -1,114 +1,75 @@
-"""Exact computation in the 5-dimensional diagram algebra on three strands.
+"""Exact route: the bracket and Jones value of a 3-braid closure over Z[A, A^-1].
 
-Elements are stored as Laurent coefficients over the ordered basis
-(1, U1, U2, U1U2, U2U1), with the loop weight d eagerly substituted as
--A^2 - A^-2 so that everything lives over a single-variable ring. The
-defining relations are U_i^2 = d U_i and U_i U_j U_i = U_i for |i-j| = 1.
+The diagram algebra on three strands splits into a 1- and a 2-dimensional
+irreducible representation. In the 2-dimensional one
+U1 = [[d, 1], [0, 0]] and U2 = [[0, 0], [1, d]] with d = -A^2 - A^-2, and a
+letter b_j^s maps to A^s I + A^-s U_j; the braid maps to the ordered
+product of its letters. In the 1-dimensional one every U_j acts as 0, so
+the braid maps to A^writhe. Closing the three strands gives the bracket
+(Kauffman, Topology 26, 1987):
+
+    <b> = (d^2 - 2) A^w + tr rho_2(b).
+
+The classical and quantum routes evaluate the same formula at a number
+(``jones_value``), with the 2x2 trace computed or sampled from unitary gates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
+import numpy as np
+
+from . import _kernels
 from .braid import BraidWord, writhe
-from .laurent import A, A_INV, D, ONE, ZERO, LaurentPoly
+from .laurent import A, D, ONE, ZERO, LaurentPoly
+
+IDENTITY = np.array([[ONE, ZERO], [ZERO, ONE]], dtype=object)
+U1 = np.array([[D, ONE], [ZERO, ZERO]], dtype=object)
+U2 = np.array([[ZERO, ZERO], [ONE, D]], dtype=object)
+
+# Rows in letter-code order s1, s2, s1^-1, s2^-1: b_j^s -> A^s I + A^-s U_j.
+_LETTERS = np.array([A**s * IDENTITY + A**-s * u for s in (1, -1) for u in (U1, U2)], dtype=object)
 
 
-@dataclass(frozen=True)
-class TL3Element:
-    one: LaurentPoly
-    u1: LaurentPoly
-    u2: LaurentPoly
-    u1u2: LaurentPoly
-    u2u1: LaurentPoly
+class Image(NamedTuple):
+    """An algebra element as its images in the 1- and 2-dimensional irreps."""
 
-    def __add__(self, other: "TL3Element") -> "TL3Element":
-        return TL3Element(
-            self.one + other.one,
-            self.u1 + other.u1,
-            self.u2 + other.u2,
-            self.u1u2 + other.u1u2,
-            self.u2u1 + other.u2u1,
-        )
-
-    def scale(self, factor: LaurentPoly) -> "TL3Element":
-        return TL3Element(
-            self.one * factor,
-            self.u1 * factor,
-            self.u2 * factor,
-            self.u1u2 * factor,
-            self.u2u1 * factor,
-        )
+    scalar: LaurentPoly
+    matrix: np.ndarray  # 2x2, object dtype
 
 
-IDENTITY = TL3Element(ONE, ZERO, ZERO, ZERO, ZERO)
-U1 = TL3Element(ZERO, ONE, ZERO, ZERO, ZERO)
-U2 = TL3Element(ZERO, ZERO, ONE, ZERO, ZERO)
-
-
-def _times_u1(x: TL3Element) -> TL3Element:
-    # Right multiplication by U1, basis by basis:
-    # 1.U1 = U1, U1.U1 = d U1, U2.U1 = U2U1, (U1U2).U1 = U1, (U2U1).U1 = d U2U1
-    return TL3Element(
-        ZERO,
-        x.one + x.u1 * D + x.u1u2,
-        ZERO,
-        ZERO,
-        x.u2 + x.u2u1 * D,
-    )
-
-
-def _times_u2(x: TL3Element) -> TL3Element:
-    # 1.U2 = U2, U1.U2 = U1U2, U2.U2 = d U2, (U1U2).U2 = d U1U2, (U2U1).U2 = U2
-    return TL3Element(
-        ZERO,
-        ZERO,
-        x.one + x.u2 * D + x.u2u1,
-        x.u1 + x.u1u2 * D,
-        ZERO,
-    )
-
-
-def _times_gen(x: TL3Element, index: int) -> TL3Element:
-    return _times_u1(x) if index == 1 else _times_u2(x)
-
-
-def tl_mul(x: TL3Element, y: TL3Element) -> TL3Element:
-    """Bilinear product x . y determined by the generator relations."""
-    xu1 = _times_u1(x)
-    xu2 = _times_u2(x)
-    return (
-        x.scale(y.one)
-        + xu1.scale(y.u1)
-        + xu2.scale(y.u2)
-        + _times_u2(xu1).scale(y.u1u2)
-        + _times_u1(xu2).scale(y.u2u1)
-    )
-
-
-def jones_rep(word: BraidWord) -> TL3Element:
+def jones_rep(word: BraidWord) -> Image:
     """Image of the braid word under b_j -> A 1 + A^-1 U_j (inverse letters
-    map to A^-1 1 + A U_j), computed by a left-to-right fold."""
-    acc = IDENTITY
-    for index, sign in word:
-        if sign > 0:
-            acc = acc.scale(A) + _times_gen(acc, index).scale(A_INV)
-        else:
-            acc = acc.scale(A_INV) + _times_gen(acc, index).scale(A)
-    return acc
+    map to A^-1 1 + A U_j)."""
+    gates = _LETTERS[_kernels.letter_codes(word)]
+    return Image(A ** writhe(word), _kernels.chain_product(gates))
 
 
-def markov_trace(x: TL3Element) -> LaurentPoly:
-    """Trace closing each basis diagram into loops and weighting by d^(k-1).
+def _closure(trace, scalar, d):
+    # Closing three strands weighs the 1-dimensional image by d^2 - 2: the
+    # identity closes to three loops, d^2, of which tr(I) = 2 counts two.
+    return (d * d - 2) * scalar + trace
 
-    Closed loop counts: identity -> 3, U1 and U2 -> 2, U1U2 and U2U1 -> 1.
+
+def markov_trace(x: Image) -> LaurentPoly:
+    """Trace closing each diagram into loops and weighting by d^(loops-1)."""
+    return _closure(x.matrix[0, 0] + x.matrix[1, 1], x.scalar, D)
+
+
+def jones_value(trace, a, d, w: int):
+    """Jones value of the closure of a braid with writhe w, from the trace of
+    its 2x2 image, at the point a whose loop weight is d:
+
+        V = (-a^3)^-w [(d^2 - 2) a^w + trace].
+
+    ``a`` is the variable A (exact route) or a complex number alpha with
+    t = alpha^-4 (classical and quantum routes).
     """
-    return x.one * (D * D) + (x.u1 + x.u2) * D + x.u1u2 + x.u2u1
+    return (-(a**3)) ** -w * _closure(trace, a**w, d)
 
 
 def jones_exact(word: BraidWord) -> LaurentPoly:
-    """Exact Jones value of the closure as a Laurent polynomial in A:
-    (-A^3)^writhe times the trace of the braid's algebra image."""
-    w = writhe(word)
-    framing = LaurentPoly.monomial(-1 if w % 2 else 1, 3 * w)
-    return framing * markov_trace(jones_rep(word))
+    """Exact Jones value of the closure as a Laurent polynomial in A."""
+    m = jones_rep(word).matrix
+    return jones_value(m[0, 0] + m[1, 1], A, D, writhe(word))

@@ -103,3 +103,53 @@ def test_seed_env_override():
     ]
     r = run_cli(*args, env=env)
     assert json.loads(r.stdout)["seed"] == 7
+
+
+def test_markov_stabilised_unknot_is_one():
+    for word in ("s1 s2", "s1^-1 s2", "s1^-1 s2^-1"):
+        r = run_cli("--braid", word, "--mode", "exact")
+        assert r.returncode == 0
+        assert r.stdout.strip() == "1"
+
+
+def test_non_finite_phi_is_domain_error():
+    for value in ("nan", "inf", "-inf"):
+        r = run_cli("--braid", "s1 s2 s1", "--mode", "classical", f"--phi={value}")
+        assert r.returncode == 3, value
+        assert json.loads(r.stdout)["error"]["type"] == "OutsideUnitarityRegion"
+
+
+def test_seed_outside_64_bits_is_domain_error():
+    for seed in (str(2**64), "-1"):
+        r = run_cli(
+            "--braid", "s1 s2", "--mode", "quantum", "--phi", "0.5",
+            "--eps1", "0.3", "--eps2", "0.3", f"--seed={seed}",
+        )
+        assert r.returncode == 3, seed
+        assert json.loads(r.stdout)["error"]["type"] == "InvalidPrecision"
+
+
+def test_non_integer_environment_is_usage_error():
+    import os
+
+    args = ["--braid", "s1 s2", "--mode", "quantum", "--phi", "0.5", "--eps1", "0.3", "--eps2", "0.3"]
+    for name in ("JONES3_SEED", "JONES3_WORKERS"):
+        r = run_cli(*args, env=dict(os.environ, **{name: "abc"}))
+        assert r.returncode == 2, name
+        assert name in r.stderr
+        assert "Traceback" not in r.stderr
+
+
+def test_non_unitary_gate_is_domain_error(monkeypatch, capsys):
+    import numpy as np
+
+    from jones3 import cli, hadamard
+
+    monkeypatch.setattr(hadamard, "compile_gate", lambda word, params: 2 * np.eye(2, dtype=complex))
+    status = cli.main(
+        ["--braid", "s1", "--mode", "quantum", "--phi", "1.0", "--eps1", "0.1", "--eps2", "0.1"]
+    )
+    assert status == 3
+    out, err = capsys.readouterr()
+    assert json.loads(out)["error"]["type"] == "NonUnitaryGate"
+    assert "Traceback" not in err

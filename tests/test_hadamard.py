@@ -248,3 +248,11 @@ def test_quantum_propagates_domain_errors():
         quantum_3sb(BraidWord(), math.pi, 0.1, 0.1)
     with pytest.raises(InvalidPrecision):
         quantum_3sb(BraidWord(), 0.0, -1.0, 0.1)
+
+
+def test_seed_outside_64_bits_rejected():
+    gate = compile_gate(parse_braid("s1 s2"), make_params(0.5))
+    for seed in (-1, 2**64, 5 + 2**64):
+        with pytest.raises(InvalidPrecision):
+            estimate_trace(gate, 10, seed=seed)
+    estimate_trace(gate, 10, seed=2**64 - 1)

@@ -7,17 +7,17 @@ import pytest
 
 from jones3 import _kernels
 from jones3.braid import BraidWord, conjugate, parse_braid
+from jones3.laurent import ONE
 from jones3.rep2 import (
     PHI_MAX,
     OutsideUnitarityRegion,
     classical_3sb,
     compile_gate,
     make_params,
-    rep_of_tl3,
 )
-from jones3.tl3 import U1, U2, jones_exact, jones_rep, markov_trace, tl_mul
+from jones3.tl3 import IDENTITY, U1, U2, jones_exact, jones_rep, markov_trace
 from conftest import random_word
-from test_tl3 import rand_tl3
+from test_tl3 import rand_element, rand_poly, same, torus_knot
 
 EYE = np.eye(2)
 
@@ -127,13 +127,22 @@ def test_classical_is_deterministic():
     assert classical_3sb(word, p) == classical_3sb(word, p)
 
 
+def at_alpha(matrix, p):
+    """The exact 2x2 image evaluated at alpha, in the basis of the gates:
+    conjugated by the fixed change of basis P = [e1 | e2], which takes U_j to
+    delta E_j."""
+    values = np.array([[complex((ONE * matrix[i, j]).eval(p.alpha)) for j in range(2)] for i in range(2)])
+    basis = np.column_stack([p.e1, p.e2])
+    return basis @ values @ np.linalg.inv(basis)
+
+
 def test_rep_of_generators():
     p = make_params(0.8)
-    assert np.allclose(rep_of_tl3(U1, p), p.delta * p.E1)
-    assert abs(np.trace(rep_of_tl3(U1, p)) - p.delta) < 1e-12
-    u1u2 = tl_mul(U1, U2)
-    assert np.allclose(rep_of_tl3(u1u2, p), p.delta**2 * (p.E1 @ p.E2))
-    assert abs(np.trace(rep_of_tl3(u1u2, p)) - 1) < 1e-12
+    assert np.allclose(at_alpha(U1, p), p.delta * p.E1)
+    assert np.allclose(at_alpha(U2, p), p.delta * p.E2)
+    assert abs(np.trace(at_alpha(U1, p)) - p.delta) < 1e-12
+    assert np.allclose(at_alpha(U1 @ U2, p), p.delta**2 * (p.E1 @ p.E2))
+    assert abs(np.trace(at_alpha(U1 @ U2, p)) - 1) < 1e-12
 
 
 def test_rep_factors_through_compile(py_rng):
@@ -141,28 +150,51 @@ def test_rep_factors_through_compile(py_rng):
         word = random_word(py_rng, 12)
         phi = py_rng.uniform(-PHI_MAX * 0.999, PHI_MAX * 0.999)
         p = make_params(phi)
-        lhs = rep_of_tl3(jones_rep(word), p)
+        lhs = at_alpha(jones_rep(word).matrix, p)
         rhs = compile_gate(word, p)
         assert np.max(np.abs(lhs - rhs)) <= 1e-9
+        assert abs(np.trace(lhs) - np.trace(rhs)) <= 1e-9
 
 
 def test_trace_correspondence_amended():
     rng = random.Random(9)
     for _ in range(100):
-        x = rand_tl3(rng)
+        _, x = rand_element(rng)
         phi = rng.uniform(-PHI_MAX * 0.999, PHI_MAX * 0.999)
         p = make_params(phi)
         lhs = markov_trace(x).eval(p.alpha)
-        rhs = np.trace(rep_of_tl3(x, p)) + (p.delta**2 - 2) * x.one.eval(p.alpha)
+        rhs = np.trace(at_alpha(x.matrix, p)) + (p.delta**2 - 2) * x.scalar.eval(p.alpha)
         assert abs(lhs - rhs) <= 1e-9 * (1 + abs(lhs))
 
 
-def test_kernel_backends_agree(np_rng):
+def test_classical_markov_stabilised_unknots(py_rng):
+    for text in ("s1 s2", "s1^-1 s2", "s1 s2^-1", "s1^-1 s2^-1"):
+        p = make_params(py_rng.uniform(-PHI_MAX, PHI_MAX))
+        assert abs(classical_3sb(parse_braid(text), p) - 1.0) <= 1e-12
+
+
+def test_classical_torus_knots(py_rng):
+    for q in (1, 2, 4, 5, 7, 11, 301):
+        p = make_params(py_rng.uniform(-PHI_MAX, PHI_MAX))
+        expected = torus_knot(q).eval(p.alpha)
+        assert abs(classical_3sb(parse_braid("s1 s2 " * q), p) - expected) <= 1e-9
+
+
+def test_kernel_backends_agree(np_rng, py_rng):
     mats = np_rng.normal(size=(257, 2, 2)) + 1j * np_rng.normal(size=(257, 2, 2))
     sequential = np.eye(2, dtype=complex)
     for m in mats:
         sequential = sequential @ m
-    assert np.allclose(_kernels.chain_product_numpy(mats), sequential, rtol=1e-9)
-    if _kernels.HAVE_NUMBA:
-        assert np.allclose(_kernels.chain_product_numba(mats), sequential, rtol=1e-9)
-    assert np.array_equal(_kernels.chain_product_numpy(mats[:0]), np.eye(2))
+    assert np.allclose(_kernels.chain_product(mats), sequential, rtol=1e-9)
+    assert np.array_equal(_kernels.chain_product(mats[:0]), np.eye(2))
+
+    polys = np.empty((13, 2, 2), dtype=object)
+    for index in np.ndindex(polys.shape):
+        polys[index] = rand_poly(py_rng)
+    folded = np.array([[ONE, 0], [0, ONE]], dtype=object)
+    for m in polys:
+        folded = folded @ m
+    product = _kernels.chain_product(polys)
+    assert product.dtype == object
+    assert same(product, folded)
+    assert same(_kernels.chain_product(polys[:0]), IDENTITY)

@@ -1,99 +1,122 @@
 import random
 
+import numpy as np
+
+from jones3.bracket import bracket_state_sum
 from jones3.braid import BraidWord, conjugate, inverse, parse_braid, writhe
-from jones3.laurent import A, D, ONE, ZERO, LaurentPoly
-from jones3.tl3 import (
-    IDENTITY,
-    U1,
-    U2,
-    TL3Element,
-    jones_exact,
-    jones_rep,
-    markov_trace,
-    tl_mul,
-)
+from jones3.laurent import A, A_INV, D, ONE, ZERO, LaurentPoly
+from jones3.tl3 import IDENTITY, U1, U2, Image, jones_exact, jones_rep, markov_trace
 from conftest import random_word
 
 FIGURE_EIGHT = parse_braid("s1 s2^-1 s1 s2^-1")
 
 
-def rand_tl3(rng: random.Random) -> TL3Element:
-    def poly():
-        return LaurentPoly(
-            {rng.randint(-4, 4): rng.randint(-5, 5) for _ in range(rng.randint(0, 3))}
-        )
+def same(x, y) -> bool:
+    """Entrywise equality of 2x2 matrices with LaurentPoly or int entries."""
+    return all(x[i, j] == y[i, j] for i in range(2) for j in range(2))
 
-    return TL3Element(poly(), poly(), poly(), poly(), poly())
+
+def rand_poly(rng: random.Random) -> LaurentPoly:
+    return LaurentPoly({rng.randint(-4, 4): rng.randint(-5, 5) for _ in range(rng.randint(0, 3))})
+
+
+def rand_element(rng: random.Random) -> tuple[list[LaurentPoly], Image]:
+    """Random coefficients over the basis (1, U1, U2, U1U2, U2U1) and the
+    element's image; every U_j acts as 0 in the 1-dimensional irrep."""
+    coeffs = [rand_poly(rng) for _ in range(5)]
+    basis = (IDENTITY, U1, U2, U1 @ U2, U2 @ U1)
+    matrix = sum((c * b for c, b in zip(coeffs, basis)), np.zeros((2, 2), dtype=object))
+    return coeffs, Image(coeffs[0], matrix)
 
 
 def test_generator_relations():
-    assert tl_mul(tl_mul(U1, U2), U1) == U1
-    assert tl_mul(tl_mul(U2, U1), U2) == U2
-    assert tl_mul(U1, U1) == U1.scale(D)
-    assert tl_mul(U2, U2) == U2.scale(D)
+    assert same(U1 @ U2 @ U1, U1)
+    assert same(U2 @ U1 @ U2, U2)
+    assert same(U1 @ U1, D * U1)
+    assert same(U2 @ U2, D * U2)
 
 
 def test_mixed_product_collapses():
-    u1u2 = tl_mul(U1, U2)
-    u2u1 = tl_mul(U2, U1)
-    assert u1u2 == TL3Element(ZERO, ZERO, ZERO, ONE, ZERO)
-    assert u2u1 == TL3Element(ZERO, ZERO, ZERO, ZERO, ONE)
-    assert tl_mul(u1u2, u2u1) == U1.scale(D)
+    u1u2 = U1 @ U2
+    u2u1 = U2 @ U1
+    assert same(u1u2, np.array([[ONE, D], [ZERO, ZERO]]))
+    assert same(u2u1, np.array([[ZERO, ZERO], [D, ONE]]))
+    assert same(u1u2 @ u2u1, D * U1)
 
 
 def test_identity_is_neutral():
     rng = random.Random(3)
     for _ in range(20):
-        x = rand_tl3(rng)
-        assert tl_mul(IDENTITY, x) == x
-        assert tl_mul(x, IDENTITY) == x
+        _, x = rand_element(rng)
+        assert same(IDENTITY @ x.matrix, x.matrix)
+        assert same(x.matrix @ IDENTITY, x.matrix)
 
 
 def test_jones_rep_single_letter():
     image = jones_rep(BraidWord([(1, 1)]))
-    assert image == TL3Element(A, LaurentPoly.monomial(1, -1), ZERO, ZERO, ZERO)
+    assert image.scalar == A
+    assert same(image.matrix, A * IDENTITY + A_INV * U1)
 
 
 def test_jones_rep_cancelling_pair():
-    assert jones_rep(parse_braid("s1 s1^-1")) == IDENTITY
+    image = jones_rep(parse_braid("s1 s1^-1"))
+    assert image.scalar == ONE
+    assert same(image.matrix, IDENTITY)
 
 
 def test_jones_rep_identity_coefficient():
     image = jones_rep(parse_braid("s1 s2"))
-    assert image.one == LaurentPoly.monomial(1, 2)
+    assert image.scalar == LaurentPoly.monomial(1, 2)
+    assert markov_trace(image) - (image.matrix[0, 0] + image.matrix[1, 1]) == (D * D - 2) * A**2
 
 
 def test_jones_rep_is_multiplicative(py_rng):
     for _ in range(500):
         b1 = random_word(py_rng, 6)
         b2 = random_word(py_rng, 6)
-        combined = BraidWord(b1.letters + b2.letters)
-        assert jones_rep(combined) == tl_mul(jones_rep(b1), jones_rep(b2))
+        combined = jones_rep(BraidWord(b1.letters + b2.letters))
+        x, y = jones_rep(b1), jones_rep(b2)
+        assert combined.scalar == x.scalar * y.scalar
+        assert same(combined.matrix, x.matrix @ y.matrix)
 
 
 def test_jones_rep_inverse(py_rng):
     for _ in range(100):
         b = random_word(py_rng, 10)
-        assert tl_mul(jones_rep(b), jones_rep(inverse(b))) == IDENTITY
+        x, y = jones_rep(b), jones_rep(inverse(b))
+        assert x.scalar * y.scalar == ONE
+        assert same(x.matrix @ y.matrix, IDENTITY)
 
 
 def test_braid_relation():
-    assert jones_rep(parse_braid("s1 s2 s1")) == jones_rep(parse_braid("s2 s1 s2"))
+    x, y = jones_rep(parse_braid("s1 s2 s1")), jones_rep(parse_braid("s2 s1 s2"))
+    assert x.scalar == y.scalar
+    assert same(x.matrix, y.matrix)
 
 
 def test_identity_coefficient_is_writhe_monomial(py_rng):
-    for _ in range(500):
-        b = random_word(py_rng, 14)
-        assert jones_rep(b).one == LaurentPoly.monomial(1, writhe(b))
+    # The identity coefficient of the algebra element is its image in the
+    # 1-dimensional irrep; the state sum, less the 2x2 trace, must be that
+    # coefficient weighed by d^2 - 2.
+    for _ in range(40):
+        b = random_word(py_rng, 9)
+        image = jones_rep(b)
+        assert image.scalar == LaurentPoly.monomial(1, writhe(b))
+        rest = bracket_state_sum(b) - (ONE * image.matrix[0, 0] + image.matrix[1, 1])
+        assert rest == (D * D - 2) * image.scalar
 
 
 def test_markov_trace_on_basis():
-    d_squared = D * D
-    assert markov_trace(IDENTITY) == d_squared
-    assert markov_trace(U1) == D
-    assert markov_trace(U2) == D
-    assert markov_trace(tl_mul(U1, U2)) == ONE
-    assert markov_trace(tl_mul(U2, U1)) == ONE
+    # Closed loop counts: identity -> 3, U1 and U2 -> 2, U1U2 and U2U1 -> 1.
+    assert markov_trace(Image(ONE, IDENTITY)) == D * D
+    assert markov_trace(Image(ZERO, U1)) == D
+    assert markov_trace(Image(ZERO, U2)) == D
+    assert markov_trace(Image(ZERO, U1 @ U2)) == ONE
+    assert markov_trace(Image(ZERO, U2 @ U1)) == ONE
+    rng = random.Random(4)
+    for _ in range(50):
+        (one, u1, u2, u1u2, u2u1), x = rand_element(rng)
+        assert markov_trace(x) == one * (D * D) + (u1 + u2) * D + u1u2 + u2u1
 
 
 def test_jones_exact_empty_word():
@@ -101,8 +124,28 @@ def test_jones_exact_empty_word():
 
 
 def test_jones_exact_single_crossing():
-    # Closure of one positive crossing is the 2-component unlink: A^6 * d.
-    assert jones_exact(BraidWord([(1, 1)])) == LaurentPoly.monomial(1, 6) * D
+    # Closure of one positive crossing is the 2-component unlink: d.
+    assert jones_exact(BraidWord([(1, 1)])) == D
+
+
+def test_jones_exact_markov_stabilised_unknots():
+    for text in ("s1 s2", "s1^-1 s2", "s1 s2^-1", "s1^-1 s2^-1"):
+        assert jones_exact(parse_braid(text)) == ONE
+    # Right-handed trefoil: t + t^3 - t^4 with t = A^-4.
+    assert jones_exact(parse_braid("s1^3 s2")) == LaurentPoly({-4: 1, -12: 1, -16: -1})
+
+
+def torus_knot(q: int) -> LaurentPoly:
+    """V(T(3, q)) = t^(q-1) + t^(q+1) - t^(2q) for q prime to 3, t = A^-4."""
+    return LaurentPoly({-4 * (q - 1): 1, -4 * (q + 1): 1}) - LaurentPoly.monomial(1, -8 * q)
+
+
+def test_jones_exact_torus_knots():
+    for q in (1, 2, 4, 5, 7, 11):
+        assert jones_exact(parse_braid("s1 s2 " * q)) == torus_knot(q)
+        # The mirror image has V(t^-1).
+        mirror = {-e: c for e, c in torus_knot(q).terms()}
+        assert jones_exact(parse_braid("s1^-1 s2^-1 " * q)) == LaurentPoly(mirror)
 
 
 def test_jones_exact_figure_eight():
