@@ -5,6 +5,12 @@ matrix evaluator on the unit circle, and a simulated quantum trace
 estimator, cross-checked by an independent brute-force state sum.
 """
 
+import os
+
+# Matrices here are at most 4x4: an OpenBLAS pool started by numpy's import
+# would only spin, taking CPU from the main thread on a busy machine.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .bracket import CapExceeded, bracket_state_sum
 from .braid import (
     BraidLetter,

@@ -130,14 +130,6 @@ def _render_text(mode: str, report: dict) -> str:
     return json.dumps(report["result"])
 
 
-def _env_int(parser: argparse.ArgumentParser, name: str, default: str) -> int:
-    text = os.environ.get(name, "") or default
-    try:
-        return int(text)
-    except ValueError:
-        parser.error(f"{name} must be an integer, got {text!r}")
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -148,8 +140,15 @@ def main(argv=None) -> int:
     if args.mode == "quantum" and (args.eps1 is None or args.eps2 is None):
         parser.error("--mode quantum requires --eps1 and --eps2")
 
-    seed = args.seed if args.seed is not None else _env_int(parser, "JONES3_SEED", "0")
-    _env_int(parser, "JONES3_WORKERS", "1")  # read again by the shot sampler
+    if args.oracle_cap < 0:
+        parser.error(f"--oracle-cap must be non-negative, got {args.oracle_cap}")
+    seed = args.seed
+    if seed is None:
+        text = os.environ.get("JONES3_SEED", "") or "0"
+        try:
+            seed = int(text)
+        except ValueError:
+            parser.error(f"JONES3_SEED must be an integer, got {text!r}")
 
     try:
         word = parse_braid(args.braid)

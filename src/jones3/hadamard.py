@@ -6,16 +6,14 @@ the phase gate S on the ancilla after the first Hadamard, giving
 P(1) - P(0) = Im<k|U|k>. Probabilities are always obtained by applying the
 gates to the 4-amplitude state vector; the closed forms live only in tests.
 
-Shot streams are counter-based: every block of draws is keyed by
-(seed, circuit, entry, block), so tallies are bit-reproducible no matter
-how the blocks are scheduled (JONES3_WORKERS picks the thread count).
+Only the count of zeros in n shots is used, and n independent Bernoulli(p0)
+shots give Binomial(n, p0) zeros, so each tally is one binomial draw from a
+Philox stream keyed by (seed, circuit, entry).
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +22,8 @@ from .braid import BraidWord, writhe
 from .rep2 import compile_gate, make_params
 from .tl3 import jones_value
 
-_SHOT_BLOCK = 4096
 _RE, _IM = 0, 1
+_MAX_SHOTS = 1 << 63  # numpy's binomial takes n as a C long
 
 
 class NonUnitaryGate(ValueError):
@@ -100,42 +98,38 @@ def shots_for(epsilon1: float, epsilon2: float, bound_mode: str = "paper") -> Sh
     ``paper`` uses n = ceil(ln(4/eps2) / (2 eps1^2)); ``rigorous`` uses the
     two-sided Hoeffding bound for a mean of 2n variables in [-1, 1] scaled
     by 2, union-bounded over the two parts: n = ceil(4 ln(4/eps2) / eps1^2).
+    Plans of 2^63 shots or more cannot be drawn and are rejected.
     """
-    if epsilon1 <= 0:
+    if not epsilon1 > 0:
         raise InvalidPrecision(f"epsilon1 must be positive, got {epsilon1}")
     if not 0 < epsilon2 <= 1:
         raise InvalidPrecision(f"epsilon2 must lie in (0, 1], got {epsilon2}")
     if bound_mode == "paper":
-        n = math.ceil(math.log(4.0 / epsilon2) / (2.0 * epsilon1**2))
+        numerator = math.log(4.0 / epsilon2) / 2.0
     elif bound_mode == "rigorous":
-        n = math.ceil(4.0 * math.log(4.0 / epsilon2) / epsilon1**2)
+        numerator = 4.0 * math.log(4.0 / epsilon2)
     else:
         raise InvalidPrecision(f"bound_mode must be 'paper' or 'rigorous', got {bound_mode!r}")
-    return ShotPlan(epsilon1, epsilon2, max(n, 1), bound_mode)
+    # epsilon1**2 underflows to 0 below about 2e-162.
+    shots = numerator / epsilon1**2 if epsilon1**2 else math.inf
+    if not shots < _MAX_SHOTS:
+        raise InvalidPrecision(f"epsilon1 = {epsilon1} plans {shots:.3g} shots per entry, 2^63 or more")
+    return ShotPlan(epsilon1, epsilon2, max(math.ceil(shots), 1), bound_mode)
 
 
-# --- batched, keyed sampling ---------------------------------------------
+# --- keyed sampling ------------------------------------------------------
 
 
 def _count_zeros(p0: float, n: int, key: tuple[int, int, int]) -> int:
-    """Zeros among n Bernoulli draws, tallied in fixed-size keyed blocks."""
-    blocks = range(0, n, _SHOT_BLOCK)
+    """Zeros among n Bernoulli(p0) shots, as one keyed binomial draw."""
     seed, circuit, entry = key
     if not 0 <= seed < 1 << 64:
         raise InvalidPrecision(f"seed must lie in [0, 2^64), got {seed}")
     # Injectively pack the stream coordinates into the 128-bit Philox key.
-    base = seed | (circuit << 64) | (entry << 65)
-
-    def one_block(start: int) -> int:
-        rng = np.random.Generator(np.random.Philox(key=base | (start << 66)))
-        count = min(_SHOT_BLOCK, n - start)
-        return int(np.count_nonzero(rng.random(count) < p0))
-
-    workers = int(os.environ.get("JONES3_WORKERS", "1") or "1")
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return sum(pool.map(one_block, blocks))
-    return sum(one_block(start) for start in blocks)
+    rng = np.random.Generator(np.random.Philox(key=seed | (circuit << 64) | (entry << 65)))
+    # A gate that passes the unitarity gate can put p0 about 1e-10 past 1,
+    # which binomial rejects.
+    return int(rng.binomial(n, min(max(p0, 0.0), 1.0)))
 
 
 @dataclass(frozen=True)
@@ -154,8 +148,8 @@ def _tally(gate: np.ndarray, n: int, seed: int, circuit: int) -> tuple[float, li
     P(1) - P(0).
     """
     _require_unitary(gate)
-    if n < 1:
-        raise InvalidPrecision(f"shot count must be >= 1, got {n}")
+    if not 1 <= n < _MAX_SHOTS:
+        raise InvalidPrecision(f"shot count must lie in [1, 2^63), got {n}")
     part = 0.0
     counts = []
     for k in (0, 1):

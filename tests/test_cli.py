@@ -133,11 +133,37 @@ def test_non_integer_environment_is_usage_error():
     import os
 
     args = ["--braid", "s1 s2", "--mode", "quantum", "--phi", "0.5", "--eps1", "0.3", "--eps2", "0.3"]
-    for name in ("JONES3_SEED", "JONES3_WORKERS"):
-        r = run_cli(*args, env=dict(os.environ, **{name: "abc"}))
-        assert r.returncode == 2, name
-        assert name in r.stderr
+    r = run_cli(*args, env=dict(os.environ, JONES3_SEED="abc"))
+    assert r.returncode == 2
+    assert "JONES3_SEED" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_undrawable_shot_plans_are_domain_errors():
+    cases = (["--eps1", "nan"], ["--eps1", "1e-200"], ["--eps1", "1e-9", "--bound-mode", "rigorous"])
+    for extra in cases:
+        r = run_cli("--braid", "s1 s2", "--mode", "quantum", "--phi", "1", "--eps2", "0.1", *extra)
+        assert r.returncode == 3, extra
+        assert json.loads(r.stdout)["error"]["type"] == "InvalidPrecision"
         assert "Traceback" not in r.stderr
+
+
+def test_paper_mode_at_tiny_eps1_finishes():
+    r = run_cli(
+        "--braid", "s1 s2", "--mode", "quantum", "--phi", "1",
+        "--eps1", "1e-9", "--eps2", "0.1", "--output", "json",
+    )
+    assert r.returncode == 0
+    report = json.loads(r.stdout)
+    assert report["n"] > 10**18
+    (z0, o0), (z1, o1) = report["trace_estimate"]["shot_counts"]["re"]
+    assert z0 + o0 == z1 + o1 == report["n"]
+
+
+def test_negative_oracle_cap_is_usage_error():
+    r = run_cli("--braid", "s1 s2", "--mode", "verify", "--oracle-cap", "-1")
+    assert r.returncode == 2
+    assert "--oracle-cap" in r.stderr
 
 
 def test_non_unitary_gate_is_domain_error(monkeypatch, capsys):
@@ -153,3 +179,21 @@ def test_non_unitary_gate_is_domain_error(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert json.loads(out)["error"]["type"] == "NonUnitaryGate"
     assert "Traceback" not in err
+
+
+def test_import_starts_no_blas_thread_pool():
+    import os
+
+    # The variable as numpy saw it, and the threads of the process after the
+    # import, where Linux lists them.
+    code = (
+        "import os, jones3, numpy; print(os.environ['OPENBLAS_NUM_THREADS'], "
+        "len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else 1)"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert r.stdout.split() == ["1", "1"]
+    # A caller's own setting is kept.
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       env=dict(env, OPENBLAS_NUM_THREADS="2"))
+    assert r.stdout.split()[0] == "2"

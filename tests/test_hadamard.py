@@ -1,5 +1,4 @@
 import math
-import os
 
 import numpy as np
 import pytest
@@ -136,13 +135,10 @@ def test_reproducibility():
     assert estimate_trace(gate, 10_000, seed=100) != a
 
 
-def test_reproducible_across_worker_counts(monkeypatch):
-    gate = compile_gate(parse_braid("s1 s2^-1 s1"), make_params(0.6))
-    results = []
-    for workers in ("1", "4", "8"):
-        monkeypatch.setenv("JONES3_WORKERS", workers)
-        results.append(estimate_trace(gate, 20_000, seed=5))
-    assert results[0] == results[1] == results[2]
+def test_p0_just_past_one_is_clamped():
+    # Passes the 1e-10 unitarity gate, yet P(0) of the real circuit exceeds 1.
+    est = estimate_trace((1 + 4e-11) * np.eye(2), 1000)
+    assert est.re_estimate == 2.0
 
 
 def test_basis_independence(np_rng):
@@ -177,6 +173,11 @@ def test_shots_for_rejects_bad_inputs():
         shots_for(0.1, 1.5)
     with pytest.raises(InvalidPrecision):
         shots_for(0.1, 0.1, "loose")
+    # NaN, an eps1 whose square underflows, and plans past numpy's 2^63 limit.
+    for eps1, mode in ((math.nan, "paper"), (1e-200, "paper"), (1e-9, "rigorous")):
+        with pytest.raises(InvalidPrecision):
+            shots_for(eps1, 0.1, mode)
+    assert shots_for(1e-9, 0.1).n > 10**18
 
 
 # --- coverage of the joint estimate ---------------------------------------
@@ -194,6 +195,41 @@ def _joint_coverage(gate, n, eps1, seeds=400):
 
 
 COVERAGE_GATE = compile_gate(parse_braid("s1 s2^-1 s1 s1 s2^-1 s1 s2 s2"), make_params(math.pi / 3))
+
+
+def _binomial_pmf(n, p):
+    k = np.arange(n + 1)
+    log_choose = np.array([math.lgamma(n + 1) - math.lgamma(i + 1) - math.lgamma(n - i + 1) for i in k])
+    return np.exp(log_choose + k * math.log(p) + (n - k) * math.log1p(-p))
+
+
+def _exact_joint_coverage(gate, n, eps1):
+    """P(both parts within eps1), summed over the binomial pmfs of the four tallies.
+
+    Each part is formed from the two entries' counts with the same float
+    operations as the estimator, so lattice points at an error of exactly
+    eps1 fall on the same side as they do in _joint_coverage.
+    """
+    true = np.trace(gate)
+    balance = (2 * np.arange(n + 1) - n) / n
+    coverage = 1.0
+    for imag, target in ((False, true.real), (True, true.imag)):
+        sign = -1.0 if imag else 1.0
+        part = sign * balance[:, None] + sign * balance[None, :]
+        p0 = [np.sum(np.abs(pipeline_states(gate, k, imag)[-1][0]) ** 2) for k in (0, 1)]
+        joint = np.outer(_binomial_pmf(n, p0[0]), _binomial_pmf(n, p0[1]))
+        coverage *= joint[np.abs(part - target) <= eps1].sum()
+    return coverage
+
+
+@pytest.mark.parametrize("bound_mode,expected", [("paper", 0.5006), ("rigorous", 0.9938)])
+def test_exact_coverage_matches_monte_carlo(bound_mode, expected):
+    n = shots_for(0.1, 0.1, bound_mode).n
+    exact = _exact_joint_coverage(COVERAGE_GATE, n, 0.1)
+    assert exact == pytest.approx(expected, abs=1e-4)
+    seeds = 400
+    stderr = math.sqrt(exact * (1 - exact) / seeds)
+    assert abs(_joint_coverage(COVERAGE_GATE, n, 0.1, seeds) - exact) <= 4 * stderr
 
 
 @pytest.mark.parametrize("eps1,eps2", [(0.1, 0.1), (0.2, 0.05)])
