@@ -13,7 +13,6 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .bracket import CapExceeded, bracket_state_sum
 from .braid import (
-    BraidLetter,
     BraidParseError,
     BraidWord,
     MalformedToken,
@@ -33,8 +32,6 @@ from .hadamard import (
     approx_im_trace,
     approx_re_trace,
     estimate_trace,
-    qim_shot,
-    qre_shot,
     quantum_3sb,
     shots_for,
 )

@@ -9,16 +9,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from .braid import BraidWord
+from .braid import BraidWord, CapExceeded
+
+# letter_codes refuses longer words before allocating: each letter costs
+# about 110 bytes on its way to a gate, so 10^7 letters need about 1.1 GB.
+MAX_LETTERS = 10**7
 
 
 def letter_codes(word: BraidWord) -> np.ndarray:
     """Row of each letter in a (s1, s2, s1^-1, s2^-1) letter table."""
-    return np.fromiter(
-        ((letter.index - 1) + (0 if letter.sign > 0 else 2) for letter in word),
-        dtype=np.int64,
-        count=len(word),
-    )
+    counts = [abs(k) for _, k in word.runs]
+    length = sum(counts)
+    if length > MAX_LETTERS:
+        raise CapExceeded(f"word length {length} exceeds letter cap {MAX_LETTERS}")
+    codes = [(j - 1) + (0 if k > 0 else 2) for j, k in word.runs]
+    return np.repeat(np.array(codes, dtype=np.int64), counts)
 
 
 def chain_product(mats: np.ndarray) -> np.ndarray:

@@ -12,12 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .braid import BraidWord
+from .braid import BraidWord, CapExceeded
 from .laurent import D, ZERO, LaurentPoly
-
-
-class CapExceeded(ValueError):
-    """Word too long for the exponential state enumeration."""
 
 
 # Boundary points: 0,1,2 = top strands, 3,4,5 = bottom strands.
@@ -87,11 +83,12 @@ def bracket_state_sum(word: BraidWord, cap: int = 20) -> LaurentPoly:
         raise CapExceeded(f"word length {length} exceeds state-sum cap {cap}")
 
     # Group states by (A-exponent, loop count); one polynomial op per group.
+    letters = word.letters
     state_tally: dict[tuple[int, int], int] = {}
     for bits in range(1 << length):
         matching = PlanarMatching()
         a_exp = 0
-        for position, (index, sign) in enumerate(word):
+        for position, (index, sign) in enumerate(letters):
             if (bits >> position) & 1:
                 a_exp -= sign
                 matching.attach_cap(index)

@@ -5,15 +5,17 @@ Two input grammars are accepted (whitespace-separated tokens):
 * prefixed form:      ``s1 s2^-1 s1^3``
 * signed-integer form: ``1 -2 1``
 
-Mixing the two forms in one string is rejected. The canonical serializer
-emits the prefixed form, one token per letter. No free reduction is ever
-performed: the word length is part of the contract.
+Mixing the two forms in one string is rejected. A word keeps the runs it
+was written in, one (generator, signed exponent) per token; the canonical
+serializer emits the prefixed form, one token per run. No free reduction is
+ever performed: the word length is part of the contract.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Iterator, NamedTuple
+from itertools import repeat
+from typing import Iterator
 
 
 class BraidParseError(ValueError):
@@ -35,31 +37,36 @@ class MalformedToken(BraidParseError):
     """Token matches neither grammar, or mixes grammars."""
 
 
-class BraidLetter(NamedTuple):
-    index: int  # generator index, 1 or 2
-    sign: int  # +1 or -1
+class CapExceeded(ValueError):
+    """Word longer than a cap on the letters a computation expands."""
 
 
 class BraidWord:
-    """Immutable sequence of letters; the empty word is the identity braid."""
+    """Immutable word of (generator, signed exponent) runs; the empty word is
+    the identity braid. ``BraidWord(letters)`` makes one run per (index, sign)
+    letter. Equality and hashing follow the letters, so s1 s1 equals s1^2."""
 
-    __slots__ = ("letters",)
+    __slots__ = ("runs",)
 
     def __init__(self, letters=()):
-        out = []
-        for index, sign in letters:
+        self.runs = tuple((index, sign) for index, sign in letters)
+        for index, sign in self.runs:
             if index not in (1, 2):
                 raise ValueError(f"generator index must be 1 or 2, got {index}")
             if sign not in (1, -1):
                 raise ValueError(f"letter sign must be +1 or -1, got {sign}")
-            out.append(BraidLetter(index, sign))
-        self.letters = tuple(out)
+
+    @property
+    def letters(self) -> tuple[tuple[int, int], ...]:
+        """The (index, sign) pair of each letter, in order."""
+        return tuple(self)
 
     def __len__(self) -> int:
-        return len(self.letters)
+        return sum(abs(k) for _, k in self.runs)
 
-    def __iter__(self) -> Iterator[BraidLetter]:
-        return iter(self.letters)
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        for index, k in self.runs:
+            yield from repeat((index, 1 if k > 0 else -1), abs(k))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BraidWord):
@@ -73,13 +80,22 @@ class BraidWord:
         return f"BraidWord({to_text(self)!r})"
 
 
-_PREFIXED = re.compile(r"^s(\d+)(?:\^(-?\d+))?$")
-_SIGNED = re.compile(r"^[+-]?\d+$")
+def _from_runs(runs) -> BraidWord:
+    """A word from runs that are already valid."""
+    word = BraidWord()
+    word.runs = tuple(runs)
+    return word
+
+
+# At most 640 digits, the least limit int() may be set to, so int() accepts
+# every number that matches.
+_PREFIXED = re.compile(r"^s(\d{1,640})(?:\^(-?\d{1,640}))?$")
+_SIGNED = re.compile(r"^[+-]?\d{1,640}$")
 
 
 def parse_braid(text: str) -> BraidWord:
-    """Parse a braid word in either grammar, expanding exponents."""
-    letters: list[BraidLetter] = []
+    """Parse a braid word in either grammar, one run per token."""
+    runs: list[tuple[int, int]] = []
     form: str | None = None
     for position, token in enumerate(text.split(), start=1):
         m = _PREFIXED.match(token)
@@ -105,26 +121,25 @@ def parse_braid(text: str) -> BraidWord:
             raise UnknownGenerator("the 3-strand braid group has generators 1 and 2 only", token, position)
         if exponent == 0:
             raise ZeroExponent("exponent must be nonzero", token, position)
-        sign = 1 if exponent > 0 else -1
-        letters.extend(BraidLetter(index, sign) for _ in range(abs(exponent)))
-    return BraidWord(letters)
+        runs.append((index, exponent))
+    return _from_runs(runs)
 
 
 def to_text(word: BraidWord) -> str:
-    """Canonical serialization: prefixed form, one token per letter."""
-    return " ".join(f"s{j}" if s > 0 else f"s{j}^-1" for j, s in word)
+    """Canonical serialization: prefixed form, one token per run."""
+    return " ".join(f"s{j}" if k == 1 else f"s{j}^{k}" for j, k in word.runs)
 
 
 def writhe(word: BraidWord) -> int:
     """Sum of the letter signs (crossing signs of the closed diagram)."""
-    return sum(letter.sign for letter in word)
+    return sum(k for _, k in word.runs)
 
 
 def inverse(word: BraidWord) -> BraidWord:
     """Reverse the word and flip every sign."""
-    return BraidWord(BraidLetter(j, -s) for j, s in reversed(word.letters))
+    return _from_runs((j, -k) for j, k in reversed(word.runs))
 
 
 def conjugate(word: BraidWord, by: BraidWord) -> BraidWord:
     """Return by . word . by^-1."""
-    return BraidWord(by.letters + word.letters + inverse(by).letters)
+    return _from_runs(by.runs + word.runs + inverse(by).runs)

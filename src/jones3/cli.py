@@ -17,8 +17,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bracket import CapExceeded, bracket_state_sum
-from .braid import BraidParseError, parse_braid, to_text, writhe
+from .bracket import bracket_state_sum
+from .braid import BraidParseError, CapExceeded, parse_braid, to_text, writhe
 from .hadamard import InvalidPrecision, NonUnitaryGate, quantum_3sb
 from .rep2 import PHI_MAX, OutsideUnitarityRegion, classical_3sb, make_params
 from .tl3 import jones_exact, jones_rep, markov_trace
@@ -56,7 +56,7 @@ def _resolve_phi(parser: argparse.ArgumentParser, args) -> float | None:
     if args.phi_frac is not None:
         try:
             return float(Fraction(args.phi_frac)) * math.pi
-        except (ValueError, ZeroDivisionError):
+        except (ValueError, ZeroDivisionError, OverflowError):
             parser.error(f"--phi-frac expects a fraction like 2/3, got {args.phi_frac!r}")
     return args.phi
 
@@ -152,23 +152,18 @@ def main(argv=None) -> int:
 
     try:
         word = parse_braid(args.braid)
-        report = {
-            "mode": args.mode,
-            "braid": to_text(word),
-            "L": len(word),
-            "writhe": writhe(word),
-        }
         status = 0
         if args.mode == "exact":
-            report.update(_run_exact(word, phi))
+            body = _run_exact(word, phi)
         elif args.mode == "classical":
-            report.update(_run_classical(word, phi))
+            body = _run_classical(word, phi)
         elif args.mode == "quantum":
-            report.update(_run_quantum(word, phi, args.eps1, args.eps2, seed, args.bound_mode))
+            body = _run_quantum(word, phi, args.eps1, args.eps2, seed, args.bound_mode)
         else:
             body, ok = _run_verify(word, phi, args.oracle_cap)
-            report.update(body)
             status = 0 if ok else 4
+        # After the mode, which rejects words too long for len() to count.
+        report = {"mode": args.mode, "braid": to_text(word), "L": len(word), "writhe": writhe(word), **body}
     except (BraidParseError, OutsideUnitarityRegion, InvalidPrecision, NonUnitaryGate, CapExceeded) as exc:
         error = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         print(json.dumps(error))

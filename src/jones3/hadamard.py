@@ -69,18 +69,6 @@ def _prob_zero(gate: np.ndarray, k: int, imag: bool) -> float:
     return float(np.sum(np.abs(final[0]) ** 2))
 
 
-def qre_shot(gate: np.ndarray, k: int, rng: np.random.Generator) -> int:
-    """One sampled ancilla bit of the real-part circuit on basis state k."""
-    _require_unitary(gate)
-    return 0 if rng.random() < _prob_zero(gate, k, imag=False) else 1
-
-
-def qim_shot(gate: np.ndarray, k: int, rng: np.random.Generator) -> int:
-    """One sampled ancilla bit of the imaginary-part circuit."""
-    _require_unitary(gate)
-    return 0 if rng.random() < _prob_zero(gate, k, imag=True) else 1
-
-
 # --- shot planning -------------------------------------------------------
 
 

@@ -27,6 +27,36 @@ def test_parse_signed_integers():
     assert parse_braid("1 -2 1 -2").letters == ((1, 1), (2, -1), (1, 1), (2, -1))
 
 
+def test_parse_keeps_runs():
+    word = parse_braid("s1^3 s2^-2 s1 s2^5")
+    assert word.runs == ((1, 3), (2, -2), (1, 1), (2, 5))
+    assert len(word) == 11
+    assert writhe(word) == 7
+    assert word.letters == ((1, 1),) * 3 + ((2, -1),) * 2 + ((1, 1),) + ((2, 1),) * 5
+    assert to_text(word) == "s1^3 s2^-2 s1 s2^5"
+    assert word == BraidWord(word.letters)
+    assert parse_braid(to_text(word)) == word
+
+
+def test_runs_compare_by_letters():
+    assert parse_braid("s1 s1") == parse_braid("s1^2")
+    assert hash(parse_braid("s1 s1")) == hash(parse_braid("s1^2"))
+    assert parse_braid("s1 s1^-1") != parse_braid("s1^2")
+    assert to_text(parse_braid("1 -2 1")) == "s1 s2^-1 s1"
+
+
+def test_long_run_is_not_expanded():
+    word = parse_braid("s1^10000000")
+    assert word.runs == ((1, 10**7),)
+    assert len(word) == 10**7
+
+
+def test_inverse_and_conjugate_of_runs():
+    word = parse_braid("s1^3 s2^-2")
+    assert inverse(word).runs == ((2, 2), (1, -3))
+    assert conjugate(word, parse_braid("s2^4")).runs == ((2, 4), (1, 3), (2, -2), (2, -4))
+
+
 def test_parse_empty():
     assert len(parse_braid("")) == 0
     assert len(parse_braid("   ")) == 0
@@ -53,6 +83,10 @@ def test_malformed_token():
         parse_braid("x1")
     with pytest.raises(MalformedToken):
         parse_braid("s1^")
+    # Numbers of more than 640 digits, which int() may refuse to convert.
+    for token in ("s1^" + "1" * 5000, "1" * 5000, "s" + "1" * 5000):
+        with pytest.raises(MalformedToken):
+            parse_braid(token)
 
 
 def test_mixed_forms_rejected():

@@ -5,8 +5,8 @@ import sys
 BASE = [sys.executable, "-m", "jones3"]
 
 
-def run_cli(*args, env=None):
-    return subprocess.run(BASE + list(args), capture_output=True, text=True, env=env)
+def run_cli(*args, env=None, timeout=None):
+    return subprocess.run(BASE + list(args), capture_output=True, text=True, env=env, timeout=timeout)
 
 
 def test_exact_mode_text():
@@ -53,6 +53,13 @@ def test_phi_frac_boundary():
     assert abs(report["delta"] + 1.0) < 1e-9
 
 
+def test_phi_frac_overflow_is_usage_error():
+    r = run_cli("--braid", "s1", "--mode", "classical", "--phi-frac", "1e400")
+    assert r.returncode == 2
+    assert "--phi-frac" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_phi_outside_region_is_domain_error():
     r = run_cli("--braid", "s1", "--mode", "classical", "--phi", "3.2")
     assert r.returncode == 3
@@ -66,6 +73,29 @@ def test_bad_braid_is_domain_error():
     error = json.loads(r.stdout)
     assert error["error"]["type"] == "UnknownGenerator"
     assert r.stderr != ""
+
+
+def test_braid_echo_keeps_runs():
+    r = run_cli("--braid", "s1^3 s2^-2 s1", "--mode", "classical", "--phi", "0.5", "--output", "json")
+    report = json.loads(r.stdout)
+    assert (report["braid"], report["L"], report["writhe"]) == ("s1^3 s2^-2 s1", 6, 2)
+
+
+def test_word_over_letter_cap_is_domain_error():
+    # 2^63 letters are more than len() can count.
+    for braid in ("s1^10000001", "s1^1000000000000", f"s1^{2**63}"):
+        for mode in ("classical", "exact"):
+            r = run_cli("--braid", braid, "--mode", mode, "--phi", "1.0", timeout=60)
+            assert r.returncode == 3, (braid, mode)
+            assert json.loads(r.stdout)["error"]["type"] == "CapExceeded"
+
+
+def test_overlong_numbers_are_domain_errors():
+    for braid in ("s1^" + "1" * 5000, "1" * 5000):
+        r = run_cli("--braid", braid, "--mode", "classical", "--phi", "1.0")
+        assert r.returncode == 3
+        assert json.loads(r.stdout)["error"]["type"] == "MalformedToken"
+        assert "Traceback" not in r.stderr
 
 
 def test_missing_phi_is_usage_error():

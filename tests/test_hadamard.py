@@ -11,8 +11,6 @@ from jones3.hadamard import (
     approx_re_trace,
     estimate_trace,
     pipeline_states,
-    qim_shot,
-    qre_shot,
     quantum_3sb,
     shots_for,
 )
@@ -23,34 +21,31 @@ from conftest import random_unitary
 EYE = np.eye(2, dtype=complex)
 
 
-# --- single-shot circuits -------------------------------------------------
+# --- single circuits, through the keyed tallies ---------------------------
 
 
-def test_qre_identity_always_zero(np_rng):
-    for k in (0, 1):
-        assert all(qre_shot(EYE, k, np_rng) == 0 for _ in range(50))
+def test_qre_identity_always_zero():
+    assert estimate_trace(EYE, 50).shot_counts["re"] == [(50, 0), (50, 0)]
 
 
-def test_qre_minus_identity_always_one(np_rng):
-    for k in (0, 1):
-        assert all(qre_shot(-EYE, k, np_rng) == 1 for _ in range(50))
+def test_qre_minus_identity_always_one():
+    assert estimate_trace(-EYE, 50).shot_counts["re"] == [(0, 50), (0, 50)]
 
 
-def test_qre_imaginary_diagonal_is_fair_coin(np_rng):
+def test_qre_imaginary_diagonal_is_fair_coin():
     gate = np.diag([1j, -1j])
-    bits = [qre_shot(gate, 0, np_rng) for _ in range(10_000)]
-    assert abs(np.mean(bits) - 0.5) < 0.02
+    _, ones = estimate_trace(gate, 10_000).shot_counts["re"][0]
+    assert abs(ones / 10_000 - 0.5) < 0.02
 
 
-def test_qim_constant_phase_always_one(np_rng):
+def test_qim_constant_phase_always_one():
     gate = np.diag([1j, 1j])
-    for k in (0, 1):
-        assert all(qim_shot(gate, k, np_rng) == 1 for _ in range(50))
+    assert estimate_trace(gate, 50).shot_counts["im"] == [(0, 50), (0, 50)]
 
 
-def test_qim_real_diagonal_is_fair_coin(np_rng):
-    bits = [qim_shot(EYE, 0, np_rng) for _ in range(10_000)]
-    assert abs(np.mean(bits) - 0.5) < 0.02
+def test_qim_real_diagonal_is_fair_coin():
+    _, ones = estimate_trace(EYE, 10_000).shot_counts["im"][0]
+    assert abs(ones / 10_000 - 0.5) < 0.02
 
 
 def test_qim_eighth_turn_probability():
@@ -60,11 +55,11 @@ def test_qim_eighth_turn_probability():
     assert abs(p1 - (0.5 + math.sqrt(2) / 4)) < 1e-12
 
 
-def test_non_unitary_rejected(np_rng):
+def test_non_unitary_rejected():
     with pytest.raises(NonUnitaryGate):
-        qre_shot(2 * EYE, 0, np_rng)
+        estimate_trace(2 * EYE, 50)
     with pytest.raises(NonUnitaryGate):
-        qim_shot(np.array([[1, 1], [0, 1]], dtype=complex), 0, np_rng)
+        estimate_trace(np.array([[1, 1], [0, 1]], dtype=complex), 50)
 
 
 def test_state_norm_preserved(np_rng):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from jones3 import _kernels
-from jones3.braid import BraidWord, conjugate, parse_braid
+from jones3.braid import BraidWord, CapExceeded, conjugate, parse_braid
 from jones3.laurent import ONE
 from jones3.rep2 import (
     PHI_MAX,
@@ -178,6 +178,30 @@ def test_classical_torus_knots(py_rng):
         p = make_params(py_rng.uniform(-PHI_MAX, PHI_MAX))
         expected = torus_knot(q).eval(p.alpha)
         assert abs(classical_3sb(parse_braid("s1 s2 " * q), p) - expected) <= 1e-9
+
+
+def test_run_word_products_match_letters():
+    runs = parse_braid("s1^3 s2^-2 s1 s2^5")
+    letters = BraidWord(list(runs))
+    assert runs.runs != letters.runs
+    for phi in (-1.5, 0.35, 1.0, 2.0):
+        p = make_params(phi)
+        assert np.array_equal(compile_gate(runs, p), compile_gate(letters, p))
+    assert np.array_equal(jones_rep(runs).matrix, jones_rep(letters).matrix)
+
+
+def test_long_run_word_is_bit_identical():
+    runs = parse_braid("s1^30000 s2^-20000 s1^-25000 s2^25000")
+    letters = BraidWord(list(runs))
+    assert len(runs) == 10**5
+    p = make_params(1.0)
+    assert classical_3sb(runs, p) == classical_3sb(letters, p)
+
+
+def test_letter_cap():
+    assert len(_kernels.letter_codes(parse_braid(f"s2^-{_kernels.MAX_LETTERS}"))) == _kernels.MAX_LETTERS
+    with pytest.raises(CapExceeded):
+        _kernels.letter_codes(parse_braid(f"s1 s2^{_kernels.MAX_LETTERS}"))
 
 
 def test_kernel_backends_agree(np_rng, py_rng):
