@@ -1,9 +1,10 @@
 """Command-line front-end: exact, classical, quantum, and verify modes.
 
-Exit codes: 0 success, 2 usage error, 3 domain error, 4 verification
-failure. Reports go to stdout (JSON or compact text), diagnostics to
-stderr. The default seed is 0, overridable by the JONES3_SEED environment
-variable and by --seed.
+Exit codes: 0 success, 1 stdout closed before the report was written
+(for example by ``| head -c 100``), 2 usage error, 3 domain error, 4
+verification failure. Reports go to stdout (JSON or compact text),
+diagnostics to stderr. The default seed is 0, overridable by the
+JONES3_SEED environment variable and by --seed.
 """
 
 from __future__ import annotations
@@ -22,6 +23,9 @@ from .braid import BraidParseError, CapExceeded, parse_braid, to_text, writhe
 from .hadamard import InvalidPrecision, NonUnitaryGate, quantum_3sb
 from .rep2 import PHI_MAX, OutsideUnitarityRegion, classical_3sb, make_params
 from .tl3 import jones_exact, jones_rep, markov_trace
+
+# The state sum visits 2^L states: 14 s at this many letters.
+MAX_ORACLE_CAP = 20
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -47,7 +51,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--bound-mode", choices=["paper", "rigorous"], default="paper")
     parser.add_argument("--output", choices=["json", "text"], default="text")
     parser.add_argument(
-        "--oracle-cap", type=int, default=20, help="max word length for the 2^L state-sum check"
+        "--oracle-cap",
+        type=int,
+        default=MAX_ORACLE_CAP,
+        help=f"max word length for the 2^L state-sum check, at most {MAX_ORACLE_CAP}",
     )
     return parser
 
@@ -130,6 +137,19 @@ def _render_text(mode: str, report: dict) -> str:
     return json.dumps(report["result"])
 
 
+def _write(text: str, status: int) -> int:
+    """Print the report and return status, or 1 if the reader closed stdout."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # Point stdout at devnull, so that the interpreter's final flush of
+        # the unwritten report does not raise again (the recipe in Python's
+        # signal module documentation).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return status
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -140,8 +160,8 @@ def main(argv=None) -> int:
     if args.mode == "quantum" and (args.eps1 is None or args.eps2 is None):
         parser.error("--mode quantum requires --eps1 and --eps2")
 
-    if args.oracle_cap < 0:
-        parser.error(f"--oracle-cap must be non-negative, got {args.oracle_cap}")
+    if not 0 <= args.oracle_cap <= MAX_ORACLE_CAP:
+        parser.error(f"--oracle-cap must lie in [0, {MAX_ORACLE_CAP}], got {args.oracle_cap}")
     seed = args.seed
     if seed is None:
         text = os.environ.get("JONES3_SEED", "") or "0"
@@ -166,15 +186,10 @@ def main(argv=None) -> int:
         report = {"mode": args.mode, "braid": to_text(word), "L": len(word), "writhe": writhe(word), **body}
     except (BraidParseError, OutsideUnitarityRegion, InvalidPrecision, NonUnitaryGate, CapExceeded) as exc:
         error = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-        print(json.dumps(error))
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return _write(json.dumps(error), 3)
 
-    if args.output == "json":
-        print(json.dumps(report))
-    else:
-        print(_render_text(args.mode, report))
-    return status
+    return _write(json.dumps(report) if args.output == "json" else _render_text(args.mode, report), status)
 
 
 if __name__ == "__main__":

@@ -7,6 +7,7 @@ equality. Coefficients are Python ints, hence arbitrary precision.
 
 from __future__ import annotations
 
+import math
 from typing import Iterator, Mapping
 
 
@@ -118,10 +119,54 @@ class LaurentPoly:
     # --- evaluation and formatting ----------------------------------------
 
     def eval(self, alpha: complex) -> complex:
-        """Evaluate at a complex point by direct power summation."""
+        """Evaluate at a nonzero complex point, without cancellation error.
+
+        A long word's coefficients are huge while its value on the unit
+        circle is small, so a float sum of c alpha^e loses every digit. This
+        runs Horner's rule in fixed-point integers carrying p fraction bits,
+        p = bits(sum |c|) + bits(span) + 64 plus the bits by which
+        max(|alpha|, 1/|alpha|)^span can grow the partial sums; the error is
+        then below 2^-64 times the value's scale, and the result is the
+        value at the float alpha, rounded once (Higham, Accuracy and
+        Stability of Numerical Algorithms, 2nd ed., section 5.1).
+        """
         if alpha == 0:
             raise ZeroPoint("cannot evaluate a Laurent polynomial at 0")
-        return sum((coeff * alpha**exp for exp, coeff in self._terms.items()), 0j)
+        if not self._terms:
+            return 0j
+        alpha = complex(alpha)
+        low, high = min(self._terms), max(self._terms)
+        span = max(high, 0) - min(low, 0)
+        p = sum(map(abs, self._terms.values())).bit_length() + span.bit_length() + 64
+        p += math.ceil(span * abs(math.log2(abs(alpha))))
+
+        def mul(x, y):
+            return (x[0] * y[0] - x[1] * y[1]) >> p, (x[0] * y[1] + x[1] * y[0]) >> p
+
+        def power(x, n: int):
+            result = (1 << p, 0)
+            while n:
+                if n & 1:
+                    result = mul(result, x)
+                x, n = mul(x, x), n >> 1
+            return result
+
+        ratios = (alpha.real.as_integer_ratio(), alpha.imag.as_integer_ratio())
+        a = tuple((num << p) // den for num, den in ratios)
+        if low < 0:  # alpha^-1 = conj(alpha) / |alpha|^2
+            norm = a[0] * a[0] + a[1] * a[1]
+            a_low = power(((a[0] << 2 * p) // norm, (-a[1] << 2 * p) // norm), -low)
+        else:
+            a_low = power(a, low)
+        # Horner in beta = alpha^step, with step the gcd of the exponent gaps.
+        step = math.gcd(*(e - low for e in self._terms)) or 1
+        beta = power(a, step)
+        acc = (self._terms[high] << p, 0)
+        for exp in range(high - step, low - 1, -step):
+            re, im = mul(acc, beta)
+            acc = (re + (self._terms.get(exp, 0) << p), im)
+        re, im = mul(acc, a_low)
+        return complex(re / (1 << p), im / (1 << p))
 
     def __str__(self) -> str:
         if not self._terms:

@@ -79,9 +79,23 @@ def make_params(phi: float) -> RepParams:
 
 
 def compile_gate(word: BraidWord, params: RepParams) -> np.ndarray:
-    """Ordered product of the elementary gates for each letter of the word."""
-    table = np.stack([params.G1, params.G2, params.G1inv, params.G2inv])
-    return _kernels.chain_product(table[_kernels.letter_codes(word)])
+    """Ordered product of the gates G_j^k of the word's runs s_j^k.
+
+    E_j is a projector and alpha + delta/alpha = x with x = -alpha^-3, so
+    G_j^k = alpha^k I + (x^k - alpha^k) E_j for every integer k. A run of
+    one letter takes its elementary gate, so a word written one token per
+    letter compiles to the same bytes as a letter-by-letter product.
+    """
+    letters = {(1, 1): params.G1, (2, 1): params.G2, (1, -1): params.G1inv, (2, -1): params.G2inv}
+
+    def image(j: int, k: int) -> np.ndarray:
+        if abs(k) == 1:
+            return letters[j, k]
+        alpha_k = cmath.exp(1j * k * params.theta)
+        x_k = (-1 if k % 2 else 1) * cmath.exp(-3j * k * params.theta)
+        return alpha_k * np.eye(2) + (x_k - alpha_k) * (params.E1 if j == 1 else params.E2)
+
+    return _kernels.chain_product(_kernels.run_stack(word, image, np.complex128))
 
 
 def classical_3sb(word: BraidWord, params: RepParams) -> complex:

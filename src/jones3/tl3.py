@@ -4,8 +4,9 @@ The diagram algebra on three strands splits into a 1- and a 2-dimensional
 irreducible representation. In the 2-dimensional one
 U1 = [[d, 1], [0, 0]] and U2 = [[0, 0], [1, d]] with d = -A^2 - A^-2, and a
 letter b_j^s maps to A^s I + A^-s U_j; the braid maps to the ordered
-product of its letters. In the 1-dimensional one every U_j acts as 0, so
-the braid maps to A^writhe. Closing the three strands gives the bracket
+product of its runs' images, each run's power of a letter taken in closed
+form. In the 1-dimensional one every U_j acts as 0, so the braid maps to
+A^writhe. Closing the three strands gives the bracket
 (Kauffman, Topology 26, 1987):
 
     <b> = (d^2 - 2) A^w + tr rho_2(b).
@@ -28,8 +29,10 @@ IDENTITY = np.array([[ONE, ZERO], [ZERO, ONE]], dtype=object)
 U1 = np.array([[D, ONE], [ZERO, ZERO]], dtype=object)
 U2 = np.array([[ZERO, ZERO], [ONE, D]], dtype=object)
 
-# Rows in letter-code order s1, s2, s1^-1, s2^-1: b_j^s -> A^s I + A^-s U_j.
-_LETTERS = np.array([A**s * IDENTITY + A**-s * u for s in (1, -1) for u in (U1, U2)], dtype=object)
+# The exact fold multiplies polynomials of up to about L terms whose
+# coefficients reach about 0.7 L bits, so its cost grows faster than L^2: a
+# random word at this cap takes about 13 s, an alternating one much longer.
+MAX_EXACT_LETTERS = 10**4
 
 
 class Image(NamedTuple):
@@ -39,10 +42,19 @@ class Image(NamedTuple):
     matrix: np.ndarray  # 2x2, object dtype
 
 
+def _run_image(j: int, k: int) -> np.ndarray:
+    # b_j^k -> A^k I + ((x^k - A^k)/d) U_j with x = -A^-3, as U_j^2 = d U_j;
+    # the quotient is sum_{i<|k|} (-1)^i A^(s(|k|-2-4i)), s the sign of k.
+    s, n = (1 if k > 0 else -1), abs(k)
+    c = LaurentPoly({s * (n - 2 - 4 * i): (-1) ** i for i in range(n)})
+    return A**k * IDENTITY + c * (U1 if j == 1 else U2)
+
+
 def jones_rep(word: BraidWord) -> Image:
     """Image of the braid word under b_j -> A 1 + A^-1 U_j (inverse letters
-    map to A^-1 1 + A U_j)."""
-    gates = _LETTERS[_kernels.letter_codes(word)]
+    map to A^-1 1 + A U_j), one closed-form image per run. A word of more
+    than ``MAX_EXACT_LETTERS`` letters raises ``CapExceeded``."""
+    gates = _kernels.run_stack(word, _run_image, object, cap=MAX_EXACT_LETTERS)
     return Image(A ** writhe(word), _kernels.chain_product(gates))
 
 

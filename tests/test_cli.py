@@ -1,4 +1,5 @@
 import json
+import random
 import subprocess
 import sys
 
@@ -194,6 +195,49 @@ def test_negative_oracle_cap_is_usage_error():
     r = run_cli("--braid", "s1 s2", "--mode", "verify", "--oracle-cap", "-1")
     assert r.returncode == 2
     assert "--oracle-cap" in r.stderr
+
+
+def test_oracle_cap_above_default_is_usage_error():
+    # 2^40 states would take hours.
+    r = run_cli("--braid", "s1 s2", "--mode", "verify", "--oracle-cap", "21")
+    assert r.returncode == 2
+    assert "--oracle-cap" in r.stderr
+
+
+def test_exact_modes_refuse_words_over_exact_cap():
+    for mode in ("exact", "verify"):
+        r = run_cli("--braid", "s1^3000 s2^-3000 s1^3000 s2^-3000", "--mode", mode, timeout=60)
+        assert r.returncode == 3, mode
+        assert json.loads(r.stdout)["error"]["type"] == "CapExceeded"
+
+
+def _random_letters(length):
+    rng = random.Random(7)
+    return " ".join(f"s{rng.choice((1, 2))}" + rng.choice(("", "^-1")) for _ in range(length))
+
+
+def test_exact_evaluation_holds_on_long_words():
+    # A float sum of the polynomial's terms went wrong from about 300 letters.
+    for length in (300, 1000):
+        word = _random_letters(length)
+        r = run_cli("--braid", word, "--mode", "verify", "--output", "json")
+        assert r.returncode == 0, length
+        assert json.loads(r.stdout)["oracle_deviation"] <= 1e-9
+    exact = run_cli("--braid", word, "--mode", "exact", "--phi", "1.0", "--output", "json")
+    classical = run_cli("--braid", word, "--mode", "classical", "--phi", "1.0", "--output", "json")
+    value = json.loads(exact.stdout)["result"]
+    expected = json.loads(classical.stdout)["result"]
+    assert abs(complex(value["re"], value["im"]) - complex(expected["re"], expected["im"])) <= 1e-9
+
+
+def test_closed_stdout_exits_quietly():
+    args = ["--braid", "s1^20000 s2^-20000", "--mode", "classical", "--phi", "1.0", "--output", "json"]
+    proc = subprocess.Popen(BASE + args, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert b"Traceback" not in err
 
 
 def test_non_unitary_gate_is_domain_error(monkeypatch, capsys):

@@ -51,6 +51,32 @@ def test_eval_loop_weight_on_circle():
     assert abs(value - (-1.7320508075688772)) < 1e-7
 
 
+def _power_of_a4_minus_one(n: int) -> LaurentPoly:
+    return LaurentPoly({4 * i: math.comb(n, i) * (-1) ** (n - i) for i in range(n + 1)})
+
+
+def test_eval_without_cancellation():
+    # At phi = pi/3, |A^4 - 1| = 1: the value has modulus 1 while the
+    # coefficients reach 2^196, past what a float sum of the terms can cancel.
+    alpha = cmath.exp(-0.25j * math.pi / 3)
+    value = _power_of_a4_minus_one(200).eval(alpha)
+    assert abs(value - (alpha**4 - 1) ** 200) <= 1e-12
+
+
+def test_eval_past_float_range():
+    # Coefficients above 2^1024 and a value below 1e-2000 at phi = 0.01.
+    value = _power_of_a4_minus_one(1100).eval(cmath.exp(-0.25j * 0.01))
+    assert abs(value) < 1e-300
+
+
+def test_eval_off_circle():
+    rng = random.Random(19)
+    for alpha in (0.5 + 0.3j, 2.1 - 0.7j, -1.5, 3):
+        p = rand_poly(rng, max_deg=30, max_coeff=10**6)
+        direct = sum(c * complex(alpha) ** e for e, c in p.terms())
+        assert abs(p.eval(alpha) - direct) <= 1e-12 * sum(abs(c * complex(alpha) ** e) for e, c in p.terms())
+
+
 def test_eval_zero_poly():
     assert ZERO.eval(0.3 + 0.1j) == 0
 

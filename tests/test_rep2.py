@@ -7,6 +7,7 @@ import pytest
 
 from jones3 import _kernels
 from jones3.braid import BraidWord, CapExceeded, conjugate, parse_braid
+from jones3.hadamard import quantum_3sb
 from jones3.laurent import ONE
 from jones3.rep2 import (
     PHI_MAX,
@@ -180,28 +181,78 @@ def test_classical_torus_knots(py_rng):
         assert abs(classical_3sb(parse_braid("s1 s2 " * q), p) - expected) <= 1e-9
 
 
+def _run_tolerance(word):
+    # Float products of L unit-modulus 2x2 factors drift by a few ulps per
+    # factor, so a run's closed form and its letters agree within this.
+    return 1e-9 + 1e-14 * len(word)
+
+
 def test_run_word_products_match_letters():
     runs = parse_braid("s1^3 s2^-2 s1 s2^5")
     letters = BraidWord(list(runs))
     assert runs.runs != letters.runs
     for phi in (-1.5, 0.35, 1.0, 2.0):
         p = make_params(phi)
-        assert np.array_equal(compile_gate(runs, p), compile_gate(letters, p))
+        assert np.max(np.abs(compile_gate(runs, p) - compile_gate(letters, p))) <= _run_tolerance(runs)
     assert np.array_equal(jones_rep(runs).matrix, jones_rep(letters).matrix)
+    # A 1000-letter run word against its exact polynomial.
+    rng = random.Random(3)
+    long_runs = parse_braid(" ".join(f"s{1 + i % 2}^{rng.choice((1, -1)) * 100}" for i in range(10)))
+    assert len(long_runs) == 1000
+    poly = jones_exact(long_runs)
+    for phi in (-1.5, 0.35, 1.0, 2.0):
+        p = make_params(phi)
+        assert abs(classical_3sb(long_runs, p) - poly.eval(p.alpha)) <= 1e-12
 
 
-def test_long_run_word_is_bit_identical():
+def test_one_token_per_letter_compiles_to_letter_gates():
+    # The gate of a word written one token per letter is the letter-by-letter
+    # product of the elementary gates, bit for bit.
+    word = parse_braid("s1 s2^-1 s1 s1 s2^-1 s1 s2 s2")
+    p = make_params(math.pi / 3)
+    table = {(1, 1): p.G1, (2, 1): p.G2, (1, -1): p.G1inv, (2, -1): p.G2inv}
+    stack = np.stack([table[letter] for letter in word])
+    assert np.array_equal(compile_gate(word, p), _kernels.chain_product(stack))
+
+
+def test_long_run_word_matches_letters_within_float_bound():
     runs = parse_braid("s1^30000 s2^-20000 s1^-25000 s2^25000")
     letters = BraidWord(list(runs))
     assert len(runs) == 10**5
     p = make_params(1.0)
-    assert classical_3sb(runs, p) == classical_3sb(letters, p)
+    assert abs(classical_3sb(runs, p) - classical_3sb(letters, p)) <= _run_tolerance(runs)
+
+
+def _random_run_word(rng, length, max_run=159):
+    """Alternating-generator runs s_j^k, |k| uniform in 1..max_run, random sign."""
+    runs, total, j = [], 0, rng.choice((1, 2))
+    while total < length:
+        k = min(rng.randint(1, max_run), length - total)
+        runs.append(f"s{j}^{k * rng.choice((1, -1))}")
+        total += k
+        j = 3 - j
+    return parse_braid(" ".join(runs))
+
+
+def test_million_letter_gate_stays_unitary():
+    # At phi = 1.0 the letter-by-letter product of this word drifted 2.6e-10
+    # from unitarity, past the Hadamard test's 1e-10 gate.
+    word = _random_run_word(random.Random(0), 10**6)
+    assert len(word) == 10**6
+    p = make_params(1.0)
+    gate = compile_gate(word, p)
+    assert np.max(np.abs(gate @ gate.conj().T - EYE)) <= 1e-11
+    eps1 = 0.05
+    _, estimate = quantum_3sb(word, 1.0, eps1, 1e-9, seed=0, bound_mode="rigorous")
+    trace = gate[0, 0] + gate[1, 1]
+    assert abs(estimate.re_estimate - trace.real) <= eps1
+    assert abs(estimate.im_estimate - trace.imag) <= eps1
 
 
 def test_letter_cap():
-    assert len(_kernels.letter_codes(parse_braid(f"s2^-{_kernels.MAX_LETTERS}"))) == _kernels.MAX_LETTERS
+    assert len(_kernels.run_stack(parse_braid(f"s2^-{_kernels.MAX_LETTERS}"), lambda j, k: EYE, complex)) == 1
     with pytest.raises(CapExceeded):
-        _kernels.letter_codes(parse_braid(f"s1 s2^{_kernels.MAX_LETTERS}"))
+        _kernels.run_stack(parse_braid(f"s1 s2^{_kernels.MAX_LETTERS}"), lambda j, k: EYE, complex)
 
 
 def test_kernel_backends_agree(np_rng, py_rng):

@@ -1,11 +1,12 @@
 import random
 
 import numpy as np
+import pytest
 
 from jones3.bracket import bracket_state_sum
-from jones3.braid import BraidWord, conjugate, inverse, parse_braid, writhe
+from jones3.braid import BraidWord, CapExceeded, conjugate, inverse, parse_braid, writhe
 from jones3.laurent import A, A_INV, D, ONE, ZERO, LaurentPoly
-from jones3.tl3 import IDENTITY, U1, U2, Image, jones_exact, jones_rep, markov_trace
+from jones3.tl3 import IDENTITY, MAX_EXACT_LETTERS, U1, U2, Image, jones_exact, jones_rep, markov_trace
 from conftest import random_word
 
 FIGURE_EIGHT = parse_braid("s1 s2^-1 s1 s2^-1")
@@ -158,3 +159,22 @@ def test_jones_exact_conjugation_invariant(py_rng):
         b = random_word(py_rng, 10)
         g = random_word(py_rng, 8)
         assert jones_exact(conjugate(b, g)) == jones_exact(b)
+
+
+def test_jones_rep_of_runs_matches_letters():
+    rng = random.Random(17)
+    for _ in range(100):
+        tokens = (f"s{rng.choice((1, 2))}^{rng.choice((1, -1)) * rng.randint(1, 9)}" for _ in range(rng.randint(0, 6)))
+        runs = parse_braid(" ".join(tokens))
+        letters = BraidWord(list(runs))
+        x, y = jones_rep(runs), jones_rep(letters)
+        assert x.scalar == y.scalar
+        assert same(x.matrix, y.matrix)
+
+
+def test_exact_letter_cap():
+    # s1^k closes to three components, so V(1) = (-2)^2.
+    poly = jones_exact(parse_braid(f"s1^{MAX_EXACT_LETTERS}"))
+    assert sum(c for _, c in poly.terms()) == 4
+    with pytest.raises(CapExceeded):
+        jones_rep(parse_braid(f"s1^{MAX_EXACT_LETTERS} s2"))
