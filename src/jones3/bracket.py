@@ -10,8 +10,6 @@ Cost is 2^L states, so the word length is capped (default 20).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .braid import BraidWord, CapExceeded
 from .laurent import D, ZERO, LaurentPoly
 
@@ -20,12 +18,12 @@ from .laurent import D, ZERO, LaurentPoly
 _ID_PAIRING = (3, 4, 5, 0, 1, 2)
 
 
-@dataclass
 class PlanarMatching:
     """Pairing of the 6 boundary points plus loops absorbed so far."""
 
-    partner: list[int] = field(default_factory=lambda: list(_ID_PAIRING))
-    loop_count: int = 0
+    def __init__(self) -> None:
+        self.partner = list(_ID_PAIRING)
+        self.loop_count = 0
 
     def attach_cap(self, index: int) -> None:
         """Stack the cap-cup diagram of generator U_index underneath.

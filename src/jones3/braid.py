@@ -9,13 +9,16 @@ Mixing the two forms in one string is rejected. A word keeps the runs it
 was written in, one (generator, signed exponent) per token; the canonical
 serializer emits the prefixed form, one token per run. No free reduction is
 ever performed: the word length is part of the contract.
+
+The domain errors of every route live here too, so that they import
+without numpy.
 """
 
 from __future__ import annotations
 
 import re
 from itertools import repeat
-from typing import Iterator
+from typing import Callable, Iterator
 
 
 class BraidParseError(ValueError):
@@ -39,6 +42,18 @@ class MalformedToken(BraidParseError):
 
 class CapExceeded(ValueError):
     """Word longer than a cap on the letters a computation expands."""
+
+
+class OutsideUnitarityRegion(ValueError):
+    """The representation is undefined for |phi| > 2 pi / 3."""
+
+
+class NonUnitaryGate(ValueError):
+    """The Hadamard test requires a unitary gate."""
+
+
+class InvalidPrecision(ValueError):
+    """Precision parameters outside their legal ranges."""
 
 
 class BraidWord:
@@ -143,3 +158,19 @@ def inverse(word: BraidWord) -> BraidWord:
 def conjugate(word: BraidWord, by: BraidWord) -> BraidWord:
     """Return by . word . by^-1."""
     return _from_runs(by.runs + word.runs + inverse(by).runs)
+
+
+def run_images(word: BraidWord, image: Callable[[int, int], object], cap: int) -> tuple[list, list[int]]:
+    """The images of a word's distinct runs, and for each run of the word, in
+    order, the index of its image.
+
+    ``image(j, k)`` builds the image of the run s_j^k; it is called once per
+    distinct run. A word of more than ``cap`` letters raises ``CapExceeded``
+    before any image is built.
+    """
+    length = sum(abs(k) for _, k in word.runs)
+    if length > cap:
+        raise CapExceeded(f"word length {length} exceeds letter cap {cap}")
+    rows: dict[tuple[int, int], int] = {}
+    codes = [rows.setdefault(run, len(rows)) for run in word.runs]
+    return [image(j, k) for j, k in rows], codes

@@ -5,6 +5,9 @@ Exit codes: 0 success, 1 stdout closed before the report was written
 verification failure. Reports go to stdout (JSON or compact text),
 diagnostics to stderr. The default seed is 0, overridable by the
 JONES3_SEED environment variable and by --seed.
+
+The float routes (rep2, hadamard and so numpy) are imported inside the
+modes that compute with floats, so that exact mode starts without numpy.
 """
 
 from __future__ import annotations
@@ -14,14 +17,18 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
-
-import numpy as np
 
 from .bracket import bracket_state_sum
-from .braid import BraidParseError, CapExceeded, parse_braid, to_text, writhe
-from .hadamard import InvalidPrecision, NonUnitaryGate, quantum_3sb
-from .rep2 import PHI_MAX, OutsideUnitarityRegion, classical_3sb, make_params
+from .braid import (
+    BraidParseError,
+    CapExceeded,
+    InvalidPrecision,
+    NonUnitaryGate,
+    OutsideUnitarityRegion,
+    parse_braid,
+    to_text,
+    writhe,
+)
 from .tl3 import jones_exact, jones_rep, markov_trace
 
 # The state sum visits 2^L states: 14 s at this many letters.
@@ -61,6 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolve_phi(parser: argparse.ArgumentParser, args) -> float | None:
     if args.phi_frac is not None:
+        from fractions import Fraction
+
         try:
             return float(Fraction(args.phi_frac)) * math.pi
         except (ValueError, ZeroDivisionError, OverflowError):
@@ -80,17 +89,24 @@ def _run_exact(word, phi):
     poly = jones_exact(word)
     report = {"polynomial": str(poly)}
     if phi is not None:
+        from .rep2 import make_params
+
         params = make_params(phi)
         report.update(_angle(params), result=_number(poly.eval(params.alpha)))
     return report
 
 
 def _run_classical(word, phi):
+    from .rep2 import classical_3sb, make_params
+
     params = make_params(phi)
     return {**_angle(params), "result": _number(classical_3sb(word, params))}
 
 
 def _run_quantum(word, phi, eps1, eps2, seed, bound_mode):
+    from .hadamard import quantum_3sb
+    from .rep2 import make_params
+
     value, estimate = quantum_3sb(word, phi, eps1, eps2, seed=seed, bound_mode=bound_mode)
     return {
         **_angle(make_params(phi)),
@@ -109,6 +125,10 @@ def _run_quantum(word, phi, eps1, eps2, seed, bound_mode):
 
 
 def _run_verify(word, phi, oracle_cap):
+    import numpy as np
+
+    from .rep2 import PHI_MAX, classical_3sb, make_params
+
     poly = jones_exact(word)
     report: dict = {"polynomial": str(poly)}
     if len(word) <= oracle_cap:

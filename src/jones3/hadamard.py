@@ -18,21 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .braid import BraidWord, writhe
+from .braid import BraidWord, InvalidPrecision, NonUnitaryGate, writhe
 from .rep2 import compile_gate, make_params
 from .tl3 import jones_value
 
 _RE, _IM = 0, 1
 _MAX_SHOTS = 1 << 63  # numpy's binomial takes n as a C long
-
-
-class NonUnitaryGate(ValueError):
-    """The Hadamard test requires a unitary gate."""
-
-
-class InvalidPrecision(ValueError):
-    """Precision parameters outside their legal ranges."""
-
 
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / math.sqrt(2.0)
 _PHASE_S = np.array([[1.0, 0.0], [0.0, 1.0j]], dtype=np.complex128)

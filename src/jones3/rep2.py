@@ -22,14 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .braid import BraidWord, writhe
+from .braid import BraidWord, OutsideUnitarityRegion, writhe
 from .tl3 import jones_value
 
 PHI_MAX = 2.0 * math.pi / 3.0
-
-
-class OutsideUnitarityRegion(ValueError):
-    """The representation is undefined for |phi| > 2 pi / 3."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,7 +91,7 @@ def compile_gate(word: BraidWord, params: RepParams) -> np.ndarray:
         x_k = (-1 if k % 2 else 1) * cmath.exp(-3j * k * params.theta)
         return alpha_k * np.eye(2) + (x_k - alpha_k) * (params.E1 if j == 1 else params.E2)
 
-    return _kernels.chain_product(_kernels.run_stack(word, image, np.complex128))
+    return _kernels.chain_product(_kernels.run_stack(word, image))
 
 
 def classical_3sb(word: BraidWord, params: RepParams) -> complex:

@@ -19,15 +19,16 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-import numpy as np
-
-from . import _kernels
-from .braid import BraidWord, writhe
+from .braid import BraidWord, run_images, writhe
 from .laurent import A, D, ONE, ZERO, LaurentPoly
 
-IDENTITY = np.array([[ONE, ZERO], [ZERO, ONE]], dtype=object)
-U1 = np.array([[D, ONE], [ZERO, ZERO]], dtype=object)
-U2 = np.array([[ZERO, ZERO], [ONE, D]], dtype=object)
+# 2x2 matrices over Z[A, A^-1] are pairs of rows; the exact route loads no
+# numpy.
+Matrix = tuple[tuple[LaurentPoly, LaurentPoly], tuple[LaurentPoly, LaurentPoly]]
+
+IDENTITY: Matrix = ((ONE, ZERO), (ZERO, ONE))
+U1: Matrix = ((D, ONE), (ZERO, ZERO))
+U2: Matrix = ((ZERO, ZERO), (ONE, D))
 
 # The exact fold multiplies polynomials of up to about L terms whose
 # coefficients reach about 0.7 L bits, so its cost grows faster than L^2: a
@@ -39,23 +40,43 @@ class Image(NamedTuple):
     """An algebra element as its images in the 1- and 2-dimensional irreps."""
 
     scalar: LaurentPoly
-    matrix: np.ndarray  # 2x2, object dtype
+    matrix: Matrix
 
 
-def _run_image(j: int, k: int) -> np.ndarray:
+def _mul(x: Matrix, y: Matrix) -> Matrix:
+    (a, b), (c, d) = x
+    (e, f), (g, h) = y
+    return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
+
+
+def fold(mats: list[Matrix]) -> Matrix:
+    """Ordered product of a list of 2x2 matrices, the identity when empty.
+
+    Adjacent pairs are multiplied level by level, so the factors of each
+    product stay about the same size.
+    """
+    while len(mats) > 1:
+        reduced = [_mul(mats[i], mats[i + 1]) for i in range(0, len(mats) - 1, 2)]
+        mats = reduced + mats[-1:] if len(mats) % 2 else reduced
+    return mats[0] if mats else IDENTITY
+
+
+def _run_image(j: int, k: int) -> Matrix:
     # b_j^k -> A^k I + ((x^k - A^k)/d) U_j with x = -A^-3, as U_j^2 = d U_j;
     # the quotient is sum_{i<|k|} (-1)^i A^(s(|k|-2-4i)), s the sign of k.
     s, n = (1 if k > 0 else -1), abs(k)
     c = LaurentPoly({s * (n - 2 - 4 * i): (-1) ** i for i in range(n)})
-    return A**k * IDENTITY + c * (U1 if j == 1 else U2)
+    a, cd = A**k, c * D
+    # A^k I + c U_j, entry by entry.
+    return ((a + cd, c), (ZERO, a)) if j == 1 else ((a, ZERO), (c, a + cd))
 
 
 def jones_rep(word: BraidWord) -> Image:
     """Image of the braid word under b_j -> A 1 + A^-1 U_j (inverse letters
     map to A^-1 1 + A U_j), one closed-form image per run. A word of more
     than ``MAX_EXACT_LETTERS`` letters raises ``CapExceeded``."""
-    gates = _kernels.run_stack(word, _run_image, object, cap=MAX_EXACT_LETTERS)
-    return Image(A ** writhe(word), _kernels.chain_product(gates))
+    images, codes = run_images(word, _run_image, MAX_EXACT_LETTERS)
+    return Image(A ** writhe(word), fold([images[c] for c in codes]))
 
 
 def _closure(trace, scalar, d):
@@ -66,7 +87,7 @@ def _closure(trace, scalar, d):
 
 def markov_trace(x: Image) -> LaurentPoly:
     """Trace closing each diagram into loops and weighting by d^(loops-1)."""
-    return _closure(x.matrix[0, 0] + x.matrix[1, 1], x.scalar, D)
+    return _closure(x.matrix[0][0] + x.matrix[1][1], x.scalar, D)
 
 
 def jones_value(trace, a, d, w: int):
@@ -84,4 +105,4 @@ def jones_value(trace, a, d, w: int):
 def jones_exact(word: BraidWord) -> LaurentPoly:
     """Exact Jones value of the closure as a Laurent polynomial in A."""
     m = jones_rep(word).matrix
-    return jones_value(m[0, 0] + m[1, 1], A, D, writhe(word))
+    return jones_value(m[0][0] + m[1][1], A, D, writhe(word))

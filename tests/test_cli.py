@@ -258,16 +258,73 @@ def test_non_unitary_gate_is_domain_error(monkeypatch, capsys):
 def test_import_starts_no_blas_thread_pool():
     import os
 
-    # The variable as numpy saw it, and the threads of the process after the
-    # import, where Linux lists them.
+    # numpy is loaded by a float mode, not by the import of jones3. Printed
+    # after the call: the variable as numpy saw it, whether numpy is loaded,
+    # and the threads of the process, where Linux lists them.
     code = (
-        "import os, jones3, numpy; print(os.environ['OPENBLAS_NUM_THREADS'], "
+        "import os, sys, jones3; from jones3 import cli; cli.main(sys.argv[1:]); "
+        "print(os.environ['OPENBLAS_NUM_THREADS'], 'numpy' in sys.modules, "
         "len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else 1)"
     )
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert r.stdout.split() == ["1", "1"]
+    for mode in ("classical", "quantum"):
+        args = ["--braid", "s1 s2", "--mode", mode, "--phi", "1", "--eps1", "0.3", "--eps2", "0.3"]
+        r = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, env=env)
+        assert r.stdout.split()[-3:] == ["1", "True", "1"]
     # A caller's own setting is kept.
-    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+    r = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
                        env=dict(env, OPENBLAS_NUM_THREADS="2"))
-    assert r.stdout.split()[0] == "2"
+    assert r.stdout.split()[-3] == "2"
+
+
+def test_exact_mode_loads_no_numpy():
+    # Exact calls, text and JSON, in a fresh interpreter; dataclasses cost
+    # about 10 ms of imports.
+    code = (
+        "import sys, jones3; from jones3 import cli; "
+        "codes = [cli.main(['--braid', 's1 s2^-1 s1 s2^-1', '--mode', 'exact', *extra]) "
+        "for extra in ([], ['--output', 'json'])]; "
+        "print(codes, sorted({'numpy', 'dataclasses'} & set(sys.modules)))"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    lines = r.stdout.splitlines()
+    assert lines[0] == "A^8 - A^4 + 1 - A^-4 + A^-8"
+    assert json.loads(lines[1])["polynomial"] == lines[0]
+    assert lines[2] == "[0, 0] []"
+
+
+# Every name the package had before the float routes were imported lazily.
+PACKAGE_NAMES = [
+    "BraidParseError", "BraidWord", "CapExceeded", "InvalidPrecision", "LaurentPoly", "MalformedToken",
+    "NonUnitaryGate", "OutsideUnitarityRegion", "PHI_MAX", "RepParams", "ShotPlan", "TraceEstimate",
+    "UnknownGenerator", "ZeroExponent", "ZeroPoint", "_kernels", "approx_im_trace", "approx_re_trace",
+    "bracket", "bracket_state_sum", "braid", "classical_3sb", "compile_gate", "conjugate",
+    "estimate_trace", "hadamard", "inverse", "jones_exact", "jones_rep", "jones_value", "laurent",
+    "make_params", "markov_trace", "os", "parse_braid", "quantum_3sb", "rep2", "shots_for", "tl3",
+    "to_text", "writhe",
+]
+
+
+def test_package_names_resolve():
+    # In a fresh interpreter, where no float module is loaded before the lookup.
+    code = "import sys, jones3; print([n for n in sys.argv[1:] if not hasattr(jones3, n)])"
+    r = subprocess.run([sys.executable, "-c", code, *PACKAGE_NAMES], capture_output=True, text=True)
+    assert r.stdout.strip() == "[]"
+
+    import jones3
+    from jones3 import hadamard, rep2
+
+    assert jones3.compile_gate is rep2.compile_gate and jones3.PHI_MAX == rep2.PHI_MAX
+    assert jones3.quantum_3sb is hadamard.quantum_3sb and jones3.ShotPlan is hadamard.ShotPlan
+    assert not hasattr(jones3, "no_such_name")
+
+
+def test_domain_errors_are_one_class_under_every_path():
+    import jones3
+    from jones3 import bracket, braid, cli, hadamard, rep2
+
+    assert jones3.CapExceeded is braid.CapExceeded is bracket.CapExceeded is cli.CapExceeded
+    assert (jones3.OutsideUnitarityRegion is braid.OutsideUnitarityRegion
+            is rep2.OutsideUnitarityRegion is cli.OutsideUnitarityRegion)
+    assert jones3.NonUnitaryGate is braid.NonUnitaryGate is hadamard.NonUnitaryGate is cli.NonUnitaryGate
+    assert jones3.InvalidPrecision is braid.InvalidPrecision is hadamard.InvalidPrecision is cli.InvalidPrecision

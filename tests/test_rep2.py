@@ -5,10 +5,10 @@ import random
 import numpy as np
 import pytest
 
-from jones3 import _kernels
+from jones3 import _kernels, tl3
 from jones3.braid import BraidWord, CapExceeded, conjugate, parse_braid
 from jones3.hadamard import quantum_3sb
-from jones3.laurent import ONE
+from jones3.laurent import ONE, LaurentPoly
 from jones3.rep2 import (
     PHI_MAX,
     OutsideUnitarityRegion,
@@ -16,9 +16,9 @@ from jones3.rep2 import (
     compile_gate,
     make_params,
 )
-from jones3.tl3 import IDENTITY, U1, U2, jones_exact, jones_rep, markov_trace
+from jones3.tl3 import jones_exact, jones_rep, markov_trace
 from conftest import random_word
-from test_tl3 import rand_element, rand_poly, same, torus_knot
+from test_tl3 import IDENTITY, U1, U2, rand_element, rand_poly, same, torus_knot
 
 EYE = np.eye(2)
 
@@ -132,7 +132,7 @@ def at_alpha(matrix, p):
     """The exact 2x2 image evaluated at alpha, in the basis of the gates:
     conjugated by the fixed change of basis P = [e1 | e2], which takes U_j to
     delta E_j."""
-    values = np.array([[complex((ONE * matrix[i, j]).eval(p.alpha)) for j in range(2)] for i in range(2)])
+    values = np.array([[complex((ONE * matrix[i][j]).eval(p.alpha)) for j in range(2)] for i in range(2)])
     basis = np.column_stack([p.e1, p.e2])
     return basis @ values @ np.linalg.inv(basis)
 
@@ -250,9 +250,9 @@ def test_million_letter_gate_stays_unitary():
 
 
 def test_letter_cap():
-    assert len(_kernels.run_stack(parse_braid(f"s2^-{_kernels.MAX_LETTERS}"), lambda j, k: EYE, complex)) == 1
+    assert len(_kernels.run_stack(parse_braid(f"s2^-{_kernels.MAX_LETTERS}"), lambda j, k: EYE)) == 1
     with pytest.raises(CapExceeded):
-        _kernels.run_stack(parse_braid(f"s1 s2^{_kernels.MAX_LETTERS}"), lambda j, k: EYE, complex)
+        _kernels.run_stack(parse_braid(f"s1 s2^{_kernels.MAX_LETTERS}"), lambda j, k: EYE)
 
 
 def test_kernel_backends_agree(np_rng, py_rng):
@@ -269,7 +269,7 @@ def test_kernel_backends_agree(np_rng, py_rng):
     folded = np.array([[ONE, 0], [0, ONE]], dtype=object)
     for m in polys:
         folded = folded @ m
-    product = _kernels.chain_product(polys)
-    assert product.dtype == object
+    product = tl3.fold([tuple(map(tuple, m)) for m in polys])
+    assert all(isinstance(entry, LaurentPoly) for row in product for entry in row)
     assert same(product, folded)
-    assert same(_kernels.chain_product(polys[:0]), IDENTITY)
+    assert same(tl3.fold([]), IDENTITY)

@@ -5,16 +5,26 @@ import pytest
 
 from jones3.bracket import bracket_state_sum
 from jones3.braid import BraidWord, CapExceeded, conjugate, inverse, parse_braid, writhe
+from jones3 import tl3
 from jones3.laurent import A, A_INV, D, ONE, ZERO, LaurentPoly
-from jones3.tl3 import IDENTITY, MAX_EXACT_LETTERS, U1, U2, Image, jones_exact, jones_rep, markov_trace
+from jones3.tl3 import MAX_EXACT_LETTERS, Image, jones_exact, jones_rep, markov_trace
 from conftest import random_word
 
 FIGURE_EIGHT = parse_braid("s1 s2^-1 s1 s2^-1")
 
 
+def mat(m) -> np.ndarray:
+    """A 2x2 image (pairs of rows) as an object array, for ``@`` in tests."""
+    return np.array(m, dtype=object)
+
+
+IDENTITY, U1, U2 = mat(tl3.IDENTITY), mat(tl3.U1), mat(tl3.U2)
+
+
 def same(x, y) -> bool:
-    """Entrywise equality of 2x2 matrices with LaurentPoly or int entries."""
-    return all(x[i, j] == y[i, j] for i in range(2) for j in range(2))
+    """Entrywise equality of 2x2 matrices with LaurentPoly or int entries,
+    as pairs of rows or arrays."""
+    return all(x[i][j] == y[i][j] for i in range(2) for j in range(2))
 
 
 def rand_poly(rng: random.Random) -> LaurentPoly:
@@ -68,7 +78,7 @@ def test_jones_rep_cancelling_pair():
 def test_jones_rep_identity_coefficient():
     image = jones_rep(parse_braid("s1 s2"))
     assert image.scalar == LaurentPoly.monomial(1, 2)
-    assert markov_trace(image) - (image.matrix[0, 0] + image.matrix[1, 1]) == (D * D - 2) * A**2
+    assert markov_trace(image) - (image.matrix[0][0] + image.matrix[1][1]) == (D * D - 2) * A**2
 
 
 def test_jones_rep_is_multiplicative(py_rng):
@@ -78,7 +88,7 @@ def test_jones_rep_is_multiplicative(py_rng):
         combined = jones_rep(BraidWord(b1.letters + b2.letters))
         x, y = jones_rep(b1), jones_rep(b2)
         assert combined.scalar == x.scalar * y.scalar
-        assert same(combined.matrix, x.matrix @ y.matrix)
+        assert same(combined.matrix, mat(x.matrix) @ mat(y.matrix))
 
 
 def test_jones_rep_inverse(py_rng):
@@ -86,7 +96,7 @@ def test_jones_rep_inverse(py_rng):
         b = random_word(py_rng, 10)
         x, y = jones_rep(b), jones_rep(inverse(b))
         assert x.scalar * y.scalar == ONE
-        assert same(x.matrix @ y.matrix, IDENTITY)
+        assert same(mat(x.matrix) @ mat(y.matrix), IDENTITY)
 
 
 def test_braid_relation():
@@ -103,7 +113,7 @@ def test_identity_coefficient_is_writhe_monomial(py_rng):
         b = random_word(py_rng, 9)
         image = jones_rep(b)
         assert image.scalar == LaurentPoly.monomial(1, writhe(b))
-        rest = bracket_state_sum(b) - (ONE * image.matrix[0, 0] + image.matrix[1, 1])
+        rest = bracket_state_sum(b) - (ONE * image.matrix[0][0] + image.matrix[1][1])
         assert rest == (D * D - 2) * image.scalar
 
 
