@@ -2,7 +2,7 @@
 
 Exact Laurent-polynomial computation, a deterministic O(L) closed-form
 matrix evaluator on the unit circle, and a simulated quantum trace
-estimator, cross-checked by an independent brute-force state sum.
+estimator, cross-checked by an independent state sum.
 
 The exact route is plain Python. The names of the float routes (``rep2``,
 ``hadamard``) are imported, with numpy, on first use.

@@ -1,17 +1,20 @@
-"""Brute-force state sum for the bracket of a closed 3-braid.
+"""State sum for the bracket of a closed 3-braid.
 
 Independent oracle: every crossing is smoothed both ways, each state is a
 stack of planar matchings composed directly as diagrams, and loops are
-counted explicitly (union-find at closure). Shares no code with the
+counted explicitly (a walk along the closure). Shares no code with the
 algebra tables in tl3 -- its entire value is that independence.
 
-Cost is 2^L states, so the word length is capped (default 20).
+The 2^L states are summed letter by letter, grouped by the planar
+matching they leave (Kauffman, Topology 26, 1987, reordered by
+distributivity). Three strands have at most 5 such matchings, so the cost
+is O(L) polynomial operations; the word length is still capped (default 20).
 """
 
 from __future__ import annotations
 
 from .braid import BraidWord, CapExceeded
-from .laurent import D, ZERO, LaurentPoly
+from .laurent import A, D, ONE, ZERO, LaurentPoly
 
 
 # Boundary points: 0,1,2 = top strands, 3,4,5 = bottom strands.
@@ -21,8 +24,8 @@ _ID_PAIRING = (3, 4, 5, 0, 1, 2)
 class PlanarMatching:
     """Pairing of the 6 boundary points plus loops absorbed so far."""
 
-    def __init__(self) -> None:
-        self.partner = list(_ID_PAIRING)
+    def __init__(self, partner=_ID_PAIRING) -> None:
+        self.partner = list(partner)
         self.loop_count = 0
 
     def attach_cap(self, index: int) -> None:
@@ -44,59 +47,51 @@ class PlanarMatching:
         self.partner[b] = a
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x: int, y: int) -> None:
-        self.parent[self.find(x)] = self.find(y)
-
-
 def closure_loop_count(matching: PlanarMatching) -> int:
-    """Number of circles after joining top strand i to bottom strand i."""
-    uf = _UnionFind(6)
-    for point, mate in enumerate(matching.partner):
-        uf.union(point, mate)
-    for i in range(3):
-        uf.union(i, i + 3)
-    return len({uf.find(p) for p in range(6)})
+    """Number of circles after joining top strand i to bottom strand i.
+
+    Each circle alternates matching arcs and closure arcs (point p to
+    p + 3 mod 6); walk each one from its first unvisited point.
+    """
+    seen: set[int] = set()
+    loops = 0
+    for start in range(6):
+        if start in seen:
+            continue
+        loops += 1
+        point = start
+        while point not in seen:
+            mate = matching.partner[point]
+            seen.update((point, mate))
+            point = (mate + 3) % 6
+    return loops
 
 
 def bracket_state_sum(word: BraidWord, cap: int = 20) -> LaurentPoly:
     """Sum A^(smoothing weight) * d^(loops - 1) over all 2^L smoothings.
 
     For a positive letter the identity smoothing weighs A and the cap-cup
-    smoothing weighs A^-1; signs swap the two weights.
+    smoothing weighs A^-1; signs swap the two weights. The states that
+    leave the same matching are carried as one polynomial weight.
     """
     length = len(word)
     if length > cap:
         raise CapExceeded(f"word length {length} exceeds state-sum cap {cap}")
 
-    # Group states by (A-exponent, loop count); one polynomial op per group.
-    letters = word.letters
-    state_tally: dict[tuple[int, int], int] = {}
-    for bits in range(1 << length):
-        matching = PlanarMatching()
-        a_exp = 0
-        for position, (index, sign) in enumerate(letters):
-            if (bits >> position) & 1:
-                a_exp -= sign
-                matching.attach_cap(index)
-            else:
-                a_exp += sign
-        loops = matching.loop_count + closure_loop_count(matching)
-        key = (a_exp, loops)
-        state_tally[key] = state_tally.get(key, 0) + 1
+    weights: dict[tuple[int, ...], LaurentPoly] = {_ID_PAIRING: ONE}
+    for index, sign in word:
+        swept: dict[tuple[int, ...], LaurentPoly] = {}
+        # The cap-cup smoothing weighs A^-sign, times d if it closed a loop.
+        identity, cup = A**sign, (A**-sign, A**-sign * D)
+        for pairing, weight in weights.items():
+            swept[pairing] = swept.get(pairing, ZERO) + weight * identity
+            matching = PlanarMatching(pairing)
+            matching.attach_cap(index)
+            capped = tuple(matching.partner)
+            swept[capped] = swept.get(capped, ZERO) + weight * cup[matching.loop_count]
+        weights = swept
 
     total = ZERO
-    for (a_exp, loops), count in state_tally.items():
-        total = total + LaurentPoly.monomial(count, a_exp) * D ** (loops - 1)
+    for pairing, weight in weights.items():
+        total = total + weight * D ** (closure_loop_count(PlanarMatching(pairing)) - 1)
     return total

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .braid import BraidWord, InvalidPrecision, NonUnitaryGate, writhe
-from .rep2 import compile_gate, make_params
+from .rep2 import RepParams, compile_gate, make_params
 from .tl3 import jones_value
 
 _RE, _IM = 0, 1
@@ -167,12 +167,17 @@ def quantum_3sb(
     seed: int = 0,
     bound_mode: str = "paper",
 ) -> tuple[complex, TraceEstimate]:
-    """Sampled Jones value at t = e^{i phi} plus the raw trace estimate.
+    """Sampled Jones value at t = e^{i phi} plus the raw trace estimate."""
+    return sample_jones(word, make_params(phi), epsilon1, epsilon2, seed, bound_mode)
+
+
+def sample_jones(word: BraidWord, params: RepParams, epsilon1: float, epsilon2: float, seed: int = 0,
+                 bound_mode: str = "paper") -> tuple[complex, TraceEstimate]:
+    """``quantum_3sb`` at the angle of an already built parameter bundle.
 
     The gate product is compiled once (O(L)); each shot is O(1) afterwards,
     so the sampling stage costs O(n) independent of the word length.
     """
-    params = make_params(phi)
     gate = compile_gate(word, params)
     plan = shots_for(epsilon1, epsilon2, bound_mode)
     estimate = estimate_trace(gate, plan.n, seed)

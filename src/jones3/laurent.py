@@ -38,9 +38,6 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def coeff(self, exp: int) -> int:
-        return self._terms.get(exp, 0)
-
     # --- ring structure ---------------------------------------------------
 
     @staticmethod

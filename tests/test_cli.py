@@ -124,6 +124,27 @@ def test_verify_skips_state_sum_above_cap():
     assert "state_sum_match" not in json.loads(r.stdout)
 
 
+def test_verify_at_default_oracle_cap_is_fast():
+    # Visiting the 2^20 states one at a time took about 9 s.
+    word = " ".join(["s1 s2^-1"] * 10)
+    r = run_cli("--braid", word, "--mode", "verify", "--output", "json", timeout=5)
+    assert r.returncode == 0
+    assert json.loads(r.stdout)["state_sum_match"] is True
+
+
+def test_boundary_warning_is_printed_once():
+    angle = ["--phi-frac", "2/3"]
+    for args in (
+        ["--mode", "quantum", *angle, "--eps1", "0.1", "--eps2", "0.1"],
+        ["--mode", "classical", *angle],
+        ["--mode", "exact", *angle],
+        ["--mode", "verify", *angle],
+    ):
+        r = run_cli("--braid", "s1 s2", *args)
+        assert r.returncode == 0, args
+        assert r.stderr.count("RuntimeWarning: phi at the 2*pi/3 boundary") == 1, args
+
+
 def test_seed_env_override():
     import os
 
