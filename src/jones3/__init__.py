@@ -45,7 +45,7 @@ _FLOAT_NAMES = {
 
 
 def __getattr__(name: str):
-    if name in ("_kernels", "rep2", "hadamard"):
+    if name in ("rep2", "hadamard"):
         return importlib.import_module(f"{__name__}.{name}")
     for module, names in _FLOAT_NAMES.items():
         if name in names:

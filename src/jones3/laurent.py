@@ -111,6 +111,8 @@ class LaurentPoly:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
+        if self._terms.keys() <= {0}:  # a constant equals its int, so hashes as one
+            return hash(self._terms.get(0, 0))
         return hash(frozenset(self._terms.items()))
 
     # --- evaluation and formatting ----------------------------------------

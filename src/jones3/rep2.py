@@ -21,11 +21,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
-from .braid import BraidWord, OutsideUnitarityRegion, writhe
-from .tl3 import jones_value
+from .braid import BraidWord, OutsideUnitarityRegion, run_images, writhe
+from .tl3 import fold, jones_value
 
 PHI_MAX = 2.0 * math.pi / 3.0
+
+# The value of a word moves about L times as fast as the angle, so rounding
+# phi to a double leaves an error of about L * 1e-16 in the answer: at this
+# cap that is 1e-9, the tolerance verify allows.
+MAX_LETTERS = 10**7
+
+IDENTITY = ((1 + 0j, 0j), (0j, 1 + 0j))
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,23 +81,26 @@ def make_params(phi: float) -> RepParams:
 
 
 def compile_gate(word: BraidWord, params: RepParams) -> np.ndarray:
-    """Ordered product of the gates G_j^k of the word's runs s_j^k.
+    """Ordered product of the gates G_j^k of the word's runs s_j^k, a complex (2, 2) array.
 
     E_j is a projector and alpha + delta/alpha = x with x = -alpha^-3, so
-    G_j^k = alpha^k I + (x^k - alpha^k) E_j for every integer k. A run of
-    one letter takes its elementary gate, so a word written one token per
-    letter compiles to the same bytes as a letter-by-letter product.
+    G_j^k = alpha^k I + (x^k - alpha^k) E_j for every integer k. ``tl3.fold``
+    multiplies the gates as rows of Python complex. A run of one letter takes
+    its elementary gate, so a word written one token per letter compiles to
+    the same bytes as the fold of its letter gates.
     """
     letters = {(1, 1): params.G1, (2, 1): params.G2, (1, -1): params.G1inv, (2, -1): params.G2inv}
 
-    def image(j: int, k: int) -> np.ndarray:
+    def image(j: int, k: int):
         if abs(k) == 1:
-            return letters[j, k]
+            return letters[j, k].tolist()
         alpha_k = cmath.exp(1j * k * params.theta)
-        x_k = (-1 if k % 2 else 1) * cmath.exp(-3j * k * params.theta)
-        return alpha_k * np.eye(2) + (x_k - alpha_k) * (params.E1 if j == 1 else params.E2)
+        c = (-1 if k % 2 else 1) * cmath.exp(-3j * k * params.theta) - alpha_k
+        (a, b), (d, e) = (params.E1 if j == 1 else params.E2).tolist()
+        return ((alpha_k + c * a, c * b), (c * d, alpha_k + c * e))
 
-    return _kernels.chain_product(_kernels.run_stack(word, image))
+    images, codes = run_images(word, image, MAX_LETTERS)
+    return np.array(fold([images[code] for code in codes], IDENTITY), dtype=np.complex128)
 
 
 def classical_3sb(word: BraidWord, params: RepParams) -> complex:

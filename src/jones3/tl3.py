@@ -13,6 +13,7 @@ A^writhe. Closing the three strands gives the bracket
 
 The classical and quantum routes evaluate the same formula at a number
 (``jones_value``), with the 2x2 trace computed or sampled from unitary gates.
+Both rings, here and in ``rep2``, multiply their run images with ``fold``.
 """
 
 from __future__ import annotations
@@ -49,16 +50,18 @@ def _mul(x: Matrix, y: Matrix) -> Matrix:
     return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
 
 
-def fold(mats: list[Matrix]) -> Matrix:
-    """Ordered product of a list of 2x2 matrices, the identity when empty.
+def fold(mats: list, identity):
+    """Ordered product of a list of 2x2 matrices, ``identity`` when empty.
 
+    A matrix is a pair of rows over any ring with ``+`` and ``*``: Laurent
+    polynomials in the exact route, Python complex in the float routes.
     Adjacent pairs are multiplied level by level, so the factors of each
     product stay about the same size.
     """
     while len(mats) > 1:
         reduced = [_mul(mats[i], mats[i + 1]) for i in range(0, len(mats) - 1, 2)]
         mats = reduced + mats[-1:] if len(mats) % 2 else reduced
-    return mats[0] if mats else IDENTITY
+    return mats[0] if mats else identity
 
 
 def _run_image(j: int, k: int) -> Matrix:
@@ -76,7 +79,7 @@ def jones_rep(word: BraidWord) -> Image:
     map to A^-1 1 + A U_j), one closed-form image per run. A word of more
     than ``MAX_EXACT_LETTERS`` letters raises ``CapExceeded``."""
     images, codes = run_images(word, _run_image, MAX_EXACT_LETTERS)
-    return Image(A ** writhe(word), fold([images[c] for c in codes]))
+    return Image(A ** writhe(word), fold([images[c] for c in codes], IDENTITY))
 
 
 def _closure(trace, scalar, d):

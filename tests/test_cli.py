@@ -318,7 +318,7 @@ def test_exact_mode_loads_no_numpy():
 PACKAGE_NAMES = [
     "BraidParseError", "BraidWord", "CapExceeded", "InvalidPrecision", "LaurentPoly", "MalformedToken",
     "NonUnitaryGate", "OutsideUnitarityRegion", "PHI_MAX", "RepParams", "ShotPlan", "TraceEstimate",
-    "UnknownGenerator", "ZeroExponent", "ZeroPoint", "_kernels", "approx_im_trace", "approx_re_trace",
+    "UnknownGenerator", "ZeroExponent", "ZeroPoint", "approx_im_trace", "approx_re_trace",
     "bracket", "bracket_state_sum", "braid", "classical_3sb", "compile_gate", "conjugate",
     "estimate_trace", "hadamard", "inverse", "jones_exact", "jones_rep", "jones_value", "laurent",
     "make_params", "markov_trace", "os", "parse_braid", "quantum_3sb", "rep2", "shots_for", "tl3",

@@ -34,6 +34,15 @@ def test_integer_coercion():
     assert 3 - A == LaurentPoly({0: 3, 1: -1})
 
 
+def test_constants_hash_as_their_ints():
+    # Equal objects must hash equal: a constant polynomial equals its int.
+    for c in (0, 1, -1, 7, 2**100):
+        assert LaurentPoly({0: c}) == c and hash(LaurentPoly({0: c})) == hash(c)
+    assert {LaurentPoly({0: 1}), 1} == {1}
+    assert {ZERO, 0, ONE, True} == {0, 1}
+    assert len({A, A_INV, D, LaurentPoly({1: 1})}) == 3
+
+
 def test_pow_rejects_negative():
     with pytest.raises(ValueError):
         (A + ONE) ** -1

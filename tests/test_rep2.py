@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from jones3 import _kernels, tl3
+from jones3 import rep2, tl3
 from jones3.braid import BraidWord, CapExceeded, conjugate, parse_braid
 from jones3.hadamard import quantum_3sb
 from jones3.laurent import ONE, LaurentPoly
@@ -67,7 +67,9 @@ def test_projector_invariants():
 
 def test_compile_empty_word():
     p = make_params(0.7)
-    assert np.array_equal(compile_gate(BraidWord(), p), EYE)
+    gate = compile_gate(BraidWord(), p)
+    assert isinstance(gate, np.ndarray) and gate.shape == (2, 2) and gate.dtype == np.complex128
+    assert np.array_equal(gate, EYE)
 
 
 def test_compile_inverse_pair():
@@ -206,13 +208,13 @@ def test_run_word_products_match_letters():
 
 
 def test_one_token_per_letter_compiles_to_letter_gates():
-    # The gate of a word written one token per letter is the letter-by-letter
-    # product of the elementary gates, bit for bit.
+    # The gate of a word written one token per letter is the fold of the
+    # elementary gates, letter by letter, bit for bit.
     word = parse_braid("s1 s2^-1 s1 s1 s2^-1 s1 s2 s2")
     p = make_params(math.pi / 3)
     table = {(1, 1): p.G1, (2, 1): p.G2, (1, -1): p.G1inv, (2, -1): p.G2inv}
-    stack = np.stack([table[letter] for letter in word])
-    assert np.array_equal(compile_gate(word, p), _kernels.chain_product(stack))
+    product = tl3.fold([table[letter].tolist() for letter in word], rep2.IDENTITY)
+    assert np.array_equal(compile_gate(word, p), np.array(product))
 
 
 def test_long_run_word_matches_letters_within_float_bound():
@@ -250,9 +252,11 @@ def test_million_letter_gate_stays_unitary():
 
 
 def test_letter_cap():
-    assert len(_kernels.run_stack(parse_braid(f"s2^-{_kernels.MAX_LETTERS}"), lambda j, k: EYE)) == 1
+    p = make_params(0.7)
+    gate = compile_gate(parse_braid(f"s2^-{rep2.MAX_LETTERS}"), p)
+    assert np.max(np.abs(gate @ gate.conj().T - EYE)) < 1e-12
     with pytest.raises(CapExceeded):
-        _kernels.run_stack(parse_braid(f"s1 s2^{_kernels.MAX_LETTERS}"), lambda j, k: EYE)
+        compile_gate(parse_braid(f"s1 s2^{rep2.MAX_LETTERS}"), p)
 
 
 def test_kernel_backends_agree(np_rng, py_rng):
@@ -260,8 +264,8 @@ def test_kernel_backends_agree(np_rng, py_rng):
     sequential = np.eye(2, dtype=complex)
     for m in mats:
         sequential = sequential @ m
-    assert np.allclose(_kernels.chain_product(mats), sequential, rtol=1e-9)
-    assert np.array_equal(_kernels.chain_product(mats[:0]), np.eye(2))
+    assert np.allclose(tl3.fold([m.tolist() for m in mats], rep2.IDENTITY), sequential, rtol=1e-9)
+    assert tl3.fold([], rep2.IDENTITY) is rep2.IDENTITY
 
     polys = np.empty((13, 2, 2), dtype=object)
     for index in np.ndindex(polys.shape):
@@ -269,7 +273,7 @@ def test_kernel_backends_agree(np_rng, py_rng):
     folded = np.array([[ONE, 0], [0, ONE]], dtype=object)
     for m in polys:
         folded = folded @ m
-    product = tl3.fold([tuple(map(tuple, m)) for m in polys])
+    product = tl3.fold([tuple(map(tuple, m)) for m in polys], tl3.IDENTITY)
     assert all(isinstance(entry, LaurentPoly) for row in product for entry in row)
     assert same(product, folded)
-    assert same(tl3.fold([]), IDENTITY)
+    assert same(tl3.fold([], tl3.IDENTITY), IDENTITY)
