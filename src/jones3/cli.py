@@ -16,6 +16,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 
 from .bracket import bracket_state_sum
@@ -69,11 +70,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolve_phi(parser: argparse.ArgumentParser, args) -> float | None:
     if args.phi_frac is not None:
-        from fractions import Fraction
-
+        # An integer or P/Q of at most 640 digits a part, as braid tokens are:
+        # Fraction would take 1e99999999 and build 10^99999999 exactly.
+        match = re.fullmatch(r"([+-]?\d{1,640})(?:/(\d{1,640}))?", args.phi_frac.strip())
         try:
-            return float(Fraction(args.phi_frac)) * math.pi
-        except (ValueError, ZeroDivisionError, OverflowError):
+            return int(match[1]) / int(match[2] or 1) * math.pi
+        except (TypeError, ZeroDivisionError, OverflowError):  # TypeError: no match
             parser.error(f"--phi-frac expects a fraction like 2/3, got {args.phi_frac!r}")
     return args.phi
 

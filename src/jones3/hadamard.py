@@ -83,10 +83,13 @@ def shots_for(epsilon1: float, epsilon2: float, bound_mode: str = "paper") -> Sh
         raise InvalidPrecision(f"epsilon1 must be positive, got {epsilon1}")
     if not 0 < epsilon2 <= 1:
         raise InvalidPrecision(f"epsilon2 must lie in (0, 1], got {epsilon2}")
+    # 4/eps2 overflows to inf below eps2 = 2.2e-308; there ln(4/eps2) is ln 4 - ln eps2.
+    quotient = 4.0 / epsilon2
+    log_term = math.log(quotient) if quotient < math.inf else math.log(4.0) - math.log(epsilon2)
     if bound_mode == "paper":
-        numerator = math.log(4.0 / epsilon2) / 2.0
+        numerator = log_term / 2.0
     elif bound_mode == "rigorous":
-        numerator = 4.0 * math.log(4.0 / epsilon2)
+        numerator = 4.0 * log_term
     else:
         raise InvalidPrecision(f"bound_mode must be 'paper' or 'rigorous', got {bound_mode!r}")
     # epsilon1**2 underflows to 0 below about 2e-162.

@@ -31,7 +31,9 @@ PHI_MAX = 2.0 * math.pi / 3.0
 # cap that is 1e-9, the tolerance verify allows.
 MAX_LETTERS = 10**7
 
-IDENTITY = ((1 + 0j, 0j), (0j, 1 + 0j))
+# A float gate is a pair of rows of Python complex, as ``tl3.fold`` takes it.
+Matrix = tuple[tuple[complex, complex], tuple[complex, complex]]
+IDENTITY: Matrix = ((1 + 0j, 0j), (0j, 1 + 0j))
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,14 +42,9 @@ class RepParams:
     theta: float
     alpha: complex
     delta: float
-    e1: np.ndarray
-    e2: np.ndarray
-    E1: np.ndarray
-    E2: np.ndarray
-    G1: np.ndarray
-    G2: np.ndarray
-    G1inv: np.ndarray
-    G2inv: np.ndarray
+    # Projectors e_j e_j^T with e1 = (1, 0), e2 = (1/delta, sqrt(1 - 1/delta^2)).
+    E1: Matrix
+    E2: Matrix
 
 
 def make_params(phi: float) -> RepParams:
@@ -68,35 +65,23 @@ def make_params(phi: float) -> RepParams:
             RuntimeWarning,
             stacklevel=2,
         )
-    e1 = np.array([1.0, 0.0])
-    e2 = np.array([overlap, math.sqrt(max(residual, 0.0))])
-    eye = np.eye(2, dtype=np.complex128)
-    E1 = np.outer(e1, e1).astype(np.complex128)
-    E2 = np.outer(e2, e2).astype(np.complex128)
-    G1 = alpha * eye + (delta / alpha) * E1
-    G2 = alpha * eye + (delta / alpha) * E2
-    G1inv = eye / alpha + (alpha * delta) * E1
-    G2inv = eye / alpha + (alpha * delta) * E2
-    return RepParams(phi, theta, alpha, delta, e1, e2, E1, E2, G1, G2, G1inv, G2inv)
+    e2 = (overlap, math.sqrt(max(residual, 0.0)))
+    E2 = tuple(tuple(complex(x * y) for y in e2) for x in e2)
+    return RepParams(phi, theta, alpha, delta, ((1 + 0j, 0j), (0j, 0j)), E2)
 
 
 def compile_gate(word: BraidWord, params: RepParams) -> np.ndarray:
     """Ordered product of the gates G_j^k of the word's runs s_j^k, a complex (2, 2) array.
 
     E_j is a projector and alpha + delta/alpha = x with x = -alpha^-3, so
-    G_j^k = alpha^k I + (x^k - alpha^k) E_j for every integer k. ``tl3.fold``
-    multiplies the gates as rows of Python complex. A run of one letter takes
-    its elementary gate, so a word written one token per letter compiles to
-    the same bytes as the fold of its letter gates.
+    every run, one letter included, takes the gate
+    G_j^k = alpha^k I + (x^k - alpha^k) E_j; ``tl3.fold`` multiplies them.
     """
-    letters = {(1, 1): params.G1, (2, 1): params.G2, (1, -1): params.G1inv, (2, -1): params.G2inv}
 
-    def image(j: int, k: int):
-        if abs(k) == 1:
-            return letters[j, k].tolist()
+    def image(j: int, k: int) -> Matrix:
         alpha_k = cmath.exp(1j * k * params.theta)
         c = (-1 if k % 2 else 1) * cmath.exp(-3j * k * params.theta) - alpha_k
-        (a, b), (d, e) = (params.E1 if j == 1 else params.E2).tolist()
+        (a, b), (d, e) = params.E1 if j == 1 else params.E2
         return ((alpha_k + c * a, c * b), (c * d, alpha_k + c * e))
 
     images, codes = run_images(word, image, MAX_LETTERS)

@@ -1,9 +1,18 @@
+import os
 import random
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from jones3.braid import BraidWord
+# Load the checkout's package without an install, here and in the CLI
+# subprocesses the tests start, which inherit PYTHONPATH.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+sys.path.insert(0, _SRC)
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
+
+from jones3.braid import BraidWord  # noqa: E402
 
 _ALPHABET = [(1, 1), (1, -1), (2, 1), (2, -1)]
 

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import subprocess
 import sys
@@ -59,6 +60,17 @@ def test_phi_frac_overflow_is_usage_error():
     assert r.returncode == 2
     assert "--phi-frac" in r.stderr
     assert "Traceback" not in r.stderr
+
+
+def test_phi_frac_takes_integers_and_fractions_only():
+    # Fraction would build 10^99999999 exactly from the first of these.
+    for text in ("1e99999999", "1" * 641 + "/3", "0.5", "2/-3"):
+        r = run_cli("--braid", "s1", "--mode", "classical", "--phi-frac", text, timeout=5)
+        assert r.returncode == 2, text
+        assert "--phi-frac" in r.stderr
+    r = run_cli("--braid", "s1", "--mode", "classical", "--phi-frac=-1/2", "--output", "json")
+    assert r.returncode == 0
+    assert abs(json.loads(r.stdout)["phi"] + math.pi / 2) < 1e-15
 
 
 def test_phi_outside_region_is_domain_error():

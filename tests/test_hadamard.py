@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -153,6 +154,13 @@ def test_basis_independence(np_rng):
 def test_shots_for_paper_mode():
     assert shots_for(0.1, 0.1).n == 185
     assert shots_for(1.0, 1.0).n == 1
+
+
+def test_shots_for_subnormal_epsilon2():
+    # 4 / 1e-310 overflows to inf; the plan is ceil(ln(4/eps2) / (2 eps1^2)).
+    expected = math.ceil((Decimal(4) / Decimal(1e-310)).ln() / 2 / Decimal(0.1) ** 2)
+    assert shots_for(0.1, 1e-310).n == expected == 35760
+    assert shots_for(0.1, 0.1).n == 185
 
 
 def test_shots_for_rigorous_mode():

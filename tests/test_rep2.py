@@ -23,15 +23,22 @@ from test_tl3 import IDENTITY, U1, U2, rand_element, rand_poly, same, torus_knot
 EYE = np.eye(2)
 
 
+def basis_vectors(p):
+    """The vectors e1 = (1, 0) and e2 = (1/delta, sqrt(1 - 1/delta^2)) whose
+    projectors are E1 and E2."""
+    overlap = 1 / p.delta
+    return np.array([1.0, 0.0]), np.array([overlap, math.sqrt(max(1 - overlap**2, 0.0))])
+
+
 def test_params_at_zero():
     p = make_params(0.0)
     assert p.theta == 0.0
     assert p.delta == -2.0
     assert p.alpha == 1.0
-    assert np.allclose(p.e2, [-0.5, math.sqrt(3) / 2])
-    assert np.allclose(p.G1, EYE - 2 * p.E1)
-    assert np.allclose(p.G1 @ p.G1, EYE)  # a reflection
-    assert np.allclose(p.G2 @ p.G2, EYE)
+    assert np.allclose(basis_vectors(p)[1], [-0.5, math.sqrt(3) / 2])
+    assert np.allclose(compile_gate(parse_braid("s1"), p), EYE - 2 * np.array(p.E1))
+    for j in (1, 2):  # each gate is a reflection
+        assert np.allclose(compile_gate(parse_braid(f"s{j} s{j}"), p), EYE)
 
 
 def test_params_at_boundary():
@@ -39,7 +46,7 @@ def test_params_at_boundary():
         p = make_params(PHI_MAX)
     assert abs(p.delta + 1.0) < 1e-12
     # cos(pi/3) is off by one ulp, so the residual direction is ~sqrt(eps)
-    assert np.allclose(p.e2, [-1.0, 0.0], atol=1e-7)
+    assert np.allclose(basis_vectors(p)[1], [-1.0, 0.0], atol=1e-7)
     assert np.allclose(p.E1, p.E2, atol=1e-7)
 
 
@@ -54,15 +61,21 @@ def test_projector_invariants():
     rng = random.Random(5)
     for _ in range(25):
         p = make_params(rng.uniform(-PHI_MAX * 0.999, PHI_MAX * 0.999))
-        for E in (p.E1, p.E2):
+        E1, E2 = np.array(p.E1), np.array(p.E2)
+        for E, e in zip((E1, E2), basis_vectors(p)):
             assert np.allclose(E @ E, E, atol=1e-12)
             assert np.allclose(E, E.conj().T, atol=1e-12)
             assert abs(np.trace(E) - 1) < 1e-12
-        assert abs(np.trace(p.E1 @ p.E2) - p.delta**-2) < 1e-12
-        assert abs(p.e1 @ p.e2 - 1 / p.delta) < 1e-12
-        for G in (p.G1, p.G2, p.G1inv, p.G2inv):
-            assert np.max(np.abs(G @ G.conj().T - EYE)) < 1e-12
-        assert np.max(np.abs(p.G1 @ p.G1inv - EYE)) < 1e-12
+            assert np.max(np.abs(E - np.outer(e, e))) < 1e-15
+        assert abs(np.trace(E1 @ E2) - p.delta**-2) < 1e-12
+        for j, E in ((1, E1), (2, E2)):
+            # The closed form at k = +-1 is the elementary gate and its inverse.
+            G = compile_gate(parse_braid(f"s{j}"), p)
+            G_inv = compile_gate(parse_braid(f"s{j}^-1"), p)
+            assert np.max(np.abs(G - (p.alpha * EYE + p.delta / p.alpha * E))) < 1e-15
+            for U in (G, G_inv):
+                assert np.max(np.abs(U @ U.conj().T - EYE)) < 1e-12
+            assert np.max(np.abs(G @ G_inv - EYE)) < 1e-12
 
 
 def test_compile_empty_word():
@@ -135,16 +148,17 @@ def at_alpha(matrix, p):
     conjugated by the fixed change of basis P = [e1 | e2], which takes U_j to
     delta E_j."""
     values = np.array([[complex((ONE * matrix[i][j]).eval(p.alpha)) for j in range(2)] for i in range(2)])
-    basis = np.column_stack([p.e1, p.e2])
+    basis = np.column_stack(basis_vectors(p))
     return basis @ values @ np.linalg.inv(basis)
 
 
 def test_rep_of_generators():
     p = make_params(0.8)
-    assert np.allclose(at_alpha(U1, p), p.delta * p.E1)
-    assert np.allclose(at_alpha(U2, p), p.delta * p.E2)
+    E1, E2 = np.array(p.E1), np.array(p.E2)
+    assert np.allclose(at_alpha(U1, p), p.delta * E1)
+    assert np.allclose(at_alpha(U2, p), p.delta * E2)
     assert abs(np.trace(at_alpha(U1, p)) - p.delta) < 1e-12
-    assert np.allclose(at_alpha(U1 @ U2, p), p.delta**2 * (p.E1 @ p.E2))
+    assert np.allclose(at_alpha(U1 @ U2, p), p.delta**2 * (E1 @ E2))
     assert abs(np.trace(at_alpha(U1 @ U2, p)) - 1) < 1e-12
 
 
@@ -208,12 +222,11 @@ def test_run_word_products_match_letters():
 
 
 def test_one_token_per_letter_compiles_to_letter_gates():
-    # The gate of a word written one token per letter is the fold of the
-    # elementary gates, letter by letter, bit for bit.
+    # The gate of a word written one token per letter is the fold of its
+    # one-letter words' gates, letter by letter, bit for bit.
     word = parse_braid("s1 s2^-1 s1 s1 s2^-1 s1 s2 s2")
     p = make_params(math.pi / 3)
-    table = {(1, 1): p.G1, (2, 1): p.G2, (1, -1): p.G1inv, (2, -1): p.G2inv}
-    product = tl3.fold([table[letter].tolist() for letter in word], rep2.IDENTITY)
+    product = tl3.fold([compile_gate(BraidWord([letter]), p).tolist() for letter in word], rep2.IDENTITY)
     assert np.array_equal(compile_gate(word, p), np.array(product))
 
 
