@@ -70,13 +70,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolve_phi(parser: argparse.ArgumentParser, args) -> float | None:
     if args.phi_frac is not None:
-        # An integer or P/Q of at most 640 digits a part, as braid tokens are:
-        # Fraction would take 1e99999999 and build 10^99999999 exactly.
+        # An integer or P/Q of at most 640 digits a part; Fraction would build 10^e exactly.
         match = re.fullmatch(r"([+-]?\d{1,640})(?:/(\d{1,640}))?", args.phi_frac.strip())
-        try:
-            return int(match[1]) / int(match[2] or 1) * math.pi
-        except (TypeError, ZeroDivisionError, OverflowError):  # TypeError: no match
-            parser.error(f"--phi-frac expects a fraction like 2/3, got {args.phi_frac!r}")
+        if match is not None:
+            try:
+                return int(match[1]) / int(match[2] or 1) * math.pi
+            except (ZeroDivisionError, OverflowError):
+                pass
+        parser.error(f"--phi-frac expects a fraction like 2/3, got {args.phi_frac!r}")
     return args.phi
 
 

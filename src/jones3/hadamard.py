@@ -83,9 +83,8 @@ def shots_for(epsilon1: float, epsilon2: float, bound_mode: str = "paper") -> Sh
         raise InvalidPrecision(f"epsilon1 must be positive, got {epsilon1}")
     if not 0 < epsilon2 <= 1:
         raise InvalidPrecision(f"epsilon2 must lie in (0, 1], got {epsilon2}")
-    # 4/eps2 overflows to inf below eps2 = 2.2e-308; there ln(4/eps2) is ln 4 - ln eps2.
-    quotient = 4.0 / epsilon2
-    log_term = math.log(quotient) if quotient < math.inf else math.log(4.0) - math.log(epsilon2)
+    # ln 4 - ln eps2, not ln(4/eps2): 4/eps2 overflows to inf below eps2 = 2.2e-308.
+    log_term = math.log(4.0) - math.log(epsilon2)
     if bound_mode == "paper":
         numerator = log_term / 2.0
     elif bound_mode == "rigorous":

@@ -35,7 +35,8 @@ def test_params_at_zero():
     assert p.theta == 0.0
     assert p.delta == -2.0
     assert p.alpha == 1.0
-    assert np.allclose(basis_vectors(p)[1], [-0.5, math.sqrt(3) / 2])
+    e2 = [-0.5, math.sqrt(3) / 2]
+    assert np.allclose(p.E2, np.outer(e2, e2))
     assert np.allclose(compile_gate(parse_braid("s1"), p), EYE - 2 * np.array(p.E1))
     for j in (1, 2):  # each gate is a reflection
         assert np.allclose(compile_gate(parse_braid(f"s{j} s{j}"), p), EYE)
@@ -45,8 +46,8 @@ def test_params_at_boundary():
     with pytest.warns(RuntimeWarning):
         p = make_params(PHI_MAX)
     assert abs(p.delta + 1.0) < 1e-12
-    # cos(pi/3) is off by one ulp, so the residual direction is ~sqrt(eps)
-    assert np.allclose(basis_vectors(p)[1], [-1.0, 0.0], atol=1e-7)
+    # cos(pi/3) is off by one ulp, so e2's residual direction is ~sqrt(eps)
+    assert np.allclose(p.E2, [[1, 0], [0, 0]], atol=1e-7)
     assert np.allclose(p.E1, p.E2, atol=1e-7)
 
 
