@@ -4,11 +4,11 @@ Exact Laurent-polynomial computation, a deterministic O(L) closed-form
 matrix evaluator on the unit circle, and a simulated quantum trace
 estimator, cross-checked by an independent state sum.
 
-The exact route is plain Python. The names of the float routes (``rep2``,
-``hadamard``) are imported, with numpy, on first use.
+Importing the package loads no numpy: it is imported by the first float
+gate (``rep2.compile_gate``) and the first keyed draw
+(``hadamard._count_zeros``), so exact mode runs without it.
 """
 
-import importlib
 import os
 
 # Matrices here are at most 4x4: an OpenBLAS pool started by numpy's import
@@ -31,23 +31,10 @@ from .braid import (
     to_text,
     writhe,
 )
+from .hadamard import (ShotPlan, TraceEstimate, approx_im_trace, approx_re_trace, estimate_trace,
+                       quantum_3sb, shots_for)
 from .laurent import LaurentPoly, ZeroPoint
+from .rep2 import PHI_MAX, RepParams, classical_3sb, compile_gate, make_params
 from .tl3 import jones_exact, jones_rep, jones_value, markov_trace
 
 __version__ = "0.1.0"
-
-# The float routes' names, imported with their module, and numpy, on first use.
-_FLOAT_NAMES = {
-    "rep2": ("PHI_MAX", "RepParams", "classical_3sb", "compile_gate", "make_params"),
-    "hadamard": ("ShotPlan", "TraceEstimate", "approx_im_trace", "approx_re_trace", "estimate_trace",
-                 "quantum_3sb", "shots_for"),
-}
-
-
-def __getattr__(name: str):
-    if name in ("rep2", "hadamard"):
-        return importlib.import_module(f"{__name__}.{name}")
-    for module, names in _FLOAT_NAMES.items():
-        if name in names:
-            return getattr(importlib.import_module(f"{__name__}.{module}"), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -5,9 +5,6 @@ Exit codes: 0 success, 1 stdout closed before the report was written
 verification failure. Reports go to stdout (JSON or compact text),
 diagnostics to stderr. The default seed is 0, overridable by the
 JONES3_SEED environment variable and by --seed.
-
-The float routes (rep2, hadamard and so numpy) are imported inside the
-modes that compute with floats, so that exact mode starts without numpy.
 """
 
 from __future__ import annotations
@@ -30,7 +27,10 @@ from .braid import (
     to_text,
     writhe,
 )
-from .tl3 import jones_exact, jones_rep, markov_trace
+from .hadamard import sample_jones
+from .laurent import A
+from .rep2 import PHI_MAX, classical_3sb, make_params
+from .tl3 import jones_exact
 
 # Not a cost limit: the O(L) sweep takes about 1 ms here, 5 s on the worst
 # 1000-letter words found. It keeps verify's reports as they were.
@@ -93,24 +93,17 @@ def _run_exact(word, phi):
     poly = jones_exact(word)
     report = {"polynomial": str(poly)}
     if phi is not None:
-        from .rep2 import make_params
-
         params = make_params(phi)
         report.update(_angle(params), result=_number(poly.eval(params.alpha)))
     return report
 
 
 def _run_classical(word, phi):
-    from .rep2 import classical_3sb, make_params
-
     params = make_params(phi)
     return {**_angle(params), "result": _number(classical_3sb(word, params))}
 
 
 def _run_quantum(word, phi, eps1, eps2, seed, bound_mode):
-    from .hadamard import sample_jones
-    from .rep2 import make_params
-
     params = make_params(phi)
     value, estimate = sample_jones(word, params, eps1, eps2, seed=seed, bound_mode=bound_mode)
     return {
@@ -130,12 +123,11 @@ def _run_quantum(word, phi, eps1, eps2, seed, bound_mode):
 
 
 def _run_verify(word, phi, oracle_cap):
-    from .rep2 import PHI_MAX, classical_3sb, make_params
-
     poly = jones_exact(word)
     report: dict = {"polynomial": str(poly)}
     if len(word) <= oracle_cap:
-        report["state_sum_match"] = bracket_state_sum(word, cap=oracle_cap) == markov_trace(jones_rep(word))
+        # The Jones value is the bracket times the framing unit (-A^3)^-writhe.
+        report["state_sum_match"] = (-(A**3)) ** -writhe(word) * bracket_state_sum(word, cap=oracle_cap) == poly
 
     angles = [phi] if phi is not None else [i * (2 * PHI_MAX / 10) - PHI_MAX for i in range(1, 10)]
     deviation = 0.0

@@ -4,7 +4,8 @@ The real-part circuit is (H x I) . ctrl-U . (H x I) on |0>|k>; measuring the
 ancilla gives P(0) = 1/2 + Re<k|U|k>/2. The imaginary-part circuit inserts
 the phase gate S on the ancilla after the first Hadamard, giving
 P(1) - P(0) = Im<k|U|k>. Probabilities are always obtained by applying the
-gates to the 4-amplitude state vector; the closed forms live only in tests.
+gates, pairs of rows multiplied with ``tl3.mul``, to the 4-amplitude state;
+the closed forms live only in tests. A (2, 2) array may stand for a gate.
 
 Only the count of zeros in n shots is used, and n independent Bernoulli(p0)
 shots give Binomial(n, p0) zeros, so each tally is one binomial draw from a
@@ -14,57 +15,54 @@ Philox stream keyed by (seed, circuit, entry).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-import numpy as np
+from typing import NamedTuple
 
 from .braid import BraidWord, InvalidPrecision, NonUnitaryGate, writhe
-from .rep2 import RepParams, compile_gate, make_params
-from .tl3 import jones_value
+from .rep2 import IDENTITY, Matrix, RepParams, compile_gate, make_params
+from .tl3 import jones_value, mul
 
 _RE, _IM = 0, 1
 _MAX_SHOTS = 1 << 63  # numpy's binomial takes n as a C long
 
-_HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / math.sqrt(2.0)
-_PHASE_S = np.array([[1.0, 0.0], [0.0, 1.0j]], dtype=np.complex128)
+_R = complex(1.0 / math.sqrt(2.0))
+_HADAMARD: Matrix = ((_R, _R), (_R, -_R))
+_PHASE_S: Matrix = ((1 + 0j, 0j), (0j, 1j))
 
 
-def _require_unitary(gate: np.ndarray) -> None:
-    defect = np.max(np.abs(gate @ gate.conj().T - np.eye(2)))
-    if defect > 1e-10:
+def _require_unitary(gate: Matrix) -> None:
+    (a, b), (c, d) = gate
+    (p, q), (r, s) = mul(gate, ((a.conjugate(), c.conjugate()), (b.conjugate(), d.conjugate())))
+    # hypot, as abs() of a complex raises OverflowError past the float range;
+    # NaN ranks highest, as it compares false with everything and max() could drop it.
+    defects = [math.hypot(z.real, z.imag) for z in (p - 1, q, r, s - 1)]
+    defect = max(defects, key=lambda x: math.inf if math.isnan(x) else x)
+    if not defect <= 1e-10:
         raise NonUnitaryGate(f"gate deviates from unitarity by {defect:.3e}")
 
 
-def pipeline_states(gate: np.ndarray, k: int, imag: bool) -> list[np.ndarray]:
+def pipeline_states(gate: Matrix, k: int, imag: bool) -> list[Matrix]:
     """States after each gate of the circuit, as (ancilla, qubit) amplitudes.
 
-    Returned arrays have shape (2, 2): axis 0 is the ancilla.
+    Each state is a pair of rows, one per value of the ancilla.
     """
-    psi = np.zeros((2, 2), dtype=np.complex128)
-    psi[0, k] = 1.0
+    psi = (IDENTITY[k], (0j, 0j))
     states = [psi]
-    psi = _HADAMARD @ psi
+    psi = mul(_HADAMARD, psi)
     states.append(psi)
     if imag:
-        psi = _PHASE_S @ psi
+        psi = mul(_PHASE_S, psi)
         states.append(psi)
-    controlled = psi.copy()
-    controlled[1] = gate @ psi[1]
-    states.append(controlled)
-    states.append(_HADAMARD @ controlled)
+    # ctrl-U maps the ancilla-1 row r to U r, which is row 1 of psi U^T.
+    psi = (psi[0], mul(psi, tuple(zip(*gate)))[1])
+    states.append(psi)
+    states.append(mul(_HADAMARD, psi))
     return states
-
-
-def _prob_zero(gate: np.ndarray, k: int, imag: bool) -> float:
-    final = pipeline_states(gate, k, imag)[-1]
-    return float(np.sum(np.abs(final[0]) ** 2))
 
 
 # --- shot planning -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ShotPlan:
+class ShotPlan(NamedTuple):
     epsilon1: float
     epsilon2: float
     n: int
@@ -103,6 +101,8 @@ def shots_for(epsilon1: float, epsilon2: float, bound_mode: str = "paper") -> Sh
 
 def _count_zeros(p0: float, n: int, key: tuple[int, int, int]) -> int:
     """Zeros among n Bernoulli(p0) shots, as one keyed binomial draw."""
+    import numpy as np
+
     seed, circuit, entry = key
     if not 0 <= seed < 1 << 64:
         raise InvalidPrecision(f"seed must lie in [0, 2^64), got {seed}")
@@ -113,8 +113,7 @@ def _count_zeros(p0: float, n: int, key: tuple[int, int, int]) -> int:
     return int(rng.binomial(n, min(max(p0, 0.0), 1.0)))
 
 
-@dataclass(frozen=True)
-class TraceEstimate:
+class TraceEstimate(NamedTuple):
     re_estimate: float
     im_estimate: float
     n: int
@@ -122,7 +121,7 @@ class TraceEstimate:
     shot_counts: dict[str, list[tuple[int, int]]]
 
 
-def _tally(gate: np.ndarray, n: int, seed: int, circuit: int) -> tuple[float, list[tuple[int, int]]]:
+def _tally(gate: Matrix, n: int, seed: int, circuit: int) -> tuple[float, list[tuple[int, int]]]:
     """One circuit's trace part and its (zeros, ones) counts on each diagonal entry.
 
     The real part sums P(0) - P(1) over the entries; the imaginary part sums
@@ -134,26 +133,28 @@ def _tally(gate: np.ndarray, n: int, seed: int, circuit: int) -> tuple[float, li
     part = 0.0
     counts = []
     for k in (0, 1):
-        zeros = _count_zeros(_prob_zero(gate, k, imag=circuit == _IM), n, (seed, circuit, k))
+        # P(0) is the squared norm of the final state's ancilla-0 row.
+        (a, b), _ = pipeline_states(gate, k, imag=circuit == _IM)[-1]
+        zeros = _count_zeros(abs(a) ** 2 + abs(b) ** 2, n, (seed, circuit, k))
         counts.append((zeros, n - zeros))
         balance = (2 * zeros - n) / n
         part += -balance if circuit == _IM else balance
     return part, counts
 
 
-def estimate_trace(gate: np.ndarray, n: int, seed: int = 0) -> TraceEstimate:
+def estimate_trace(gate: Matrix, n: int, seed: int = 0) -> TraceEstimate:
     """Sampled estimate of tr(gate) from 4n keyed Hadamard-test shots."""
     re_est, re_counts = _tally(gate, n, seed, _RE)
     im_est, im_counts = _tally(gate, n, seed, _IM)
     return TraceEstimate(re_est, im_est, n, seed, {"re": re_counts, "im": im_counts})
 
 
-def approx_re_trace(gate: np.ndarray, n: int, seed: int = 0) -> float:
+def approx_re_trace(gate: Matrix, n: int, seed: int = 0) -> float:
     """Normalized (zeros - ones)/n summed over both diagonal entries."""
     return _tally(gate, n, seed, _RE)[0]
 
 
-def approx_im_trace(gate: np.ndarray, n: int, seed: int = 0) -> float:
+def approx_im_trace(gate: Matrix, n: int, seed: int = 0) -> float:
     """Normalized (ones - zeros)/n summed over both diagonal entries."""
     return _tally(gate, n, seed, _IM)[0]
 

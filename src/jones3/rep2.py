@@ -17,9 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass
-
-import numpy as np
+from typing import NamedTuple
 
 from .braid import BraidWord, OutsideUnitarityRegion, run_images, writhe
 from .tl3 import fold, jones_value
@@ -36,8 +34,7 @@ Matrix = tuple[tuple[complex, complex], tuple[complex, complex]]
 IDENTITY: Matrix = ((1 + 0j, 0j), (0j, 1 + 0j))
 
 
-@dataclass(frozen=True, eq=False)
-class RepParams:
+class RepParams(NamedTuple):
     phi: float
     theta: float
     alpha: complex
@@ -70,13 +67,14 @@ def make_params(phi: float) -> RepParams:
     return RepParams(phi, theta, alpha, delta, ((1 + 0j, 0j), (0j, 0j)), E2)
 
 
-def compile_gate(word: BraidWord, params: RepParams) -> np.ndarray:
+def compile_gate(word: BraidWord, params: RepParams):
     """Ordered product of the gates G_j^k of the word's runs s_j^k, a complex (2, 2) array.
 
     E_j is a projector and alpha + delta/alpha = x with x = -alpha^-3, so
     every run, one letter included, takes the gate
     G_j^k = alpha^k I + (x^k - alpha^k) E_j; ``tl3.fold`` multiplies them.
     """
+    import numpy as np  # for the returned array only; the exact route never loads it
 
     def image(j: int, k: int) -> Matrix:
         alpha_k = cmath.exp(1j * k * params.theta)

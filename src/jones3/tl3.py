@@ -44,7 +44,7 @@ class Image(NamedTuple):
     matrix: Matrix
 
 
-def _mul(x: Matrix, y: Matrix) -> Matrix:
+def mul(x: Matrix, y: Matrix) -> Matrix:
     (a, b), (c, d) = x
     (e, f), (g, h) = y
     return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
@@ -59,7 +59,7 @@ def fold(mats: list, identity):
     product stay about the same size.
     """
     while len(mats) > 1:
-        reduced = [_mul(mats[i], mats[i + 1]) for i in range(0, len(mats) - 1, 2)]
+        reduced = [mul(mats[i], mats[i + 1]) for i in range(0, len(mats) - 1, 2)]
         mats = reduced + mats[-1:] if len(mats) % 2 else reduced
     return mats[0] if mats else identity
 

@@ -129,6 +129,33 @@ def test_verify_mode():
     assert report["oracle_deviation"] <= 1e-9
 
 
+def test_verify_checks_framing(capsys):
+    from jones3 import cli
+
+    # Nonzero writhes: the state sum is the bracket, off the Jones value by (-A^3)^-writhe.
+    for braid in ("s1 s1 s1", "s1^-1 s2^-1", "s1 s2 s1 s2 s1^-1"):
+        assert cli.main(["--braid", braid, "--mode", "verify", "--output", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["state_sum_match"] is True
+
+
+def test_verify_failures_exit_4(monkeypatch, capsys):
+    from jones3 import cli
+    from jones3.laurent import ONE
+
+    argv = ["--braid", "s1 s2^-1 s1 s2^-1", "--mode", "verify", "--output", "json"]
+    with monkeypatch.context() as m:
+        m.setattr(cli, "bracket_state_sum", lambda word, cap: ONE)
+        assert cli.main(argv) == 4
+    report = json.loads(capsys.readouterr().out)
+    assert report["state_sum_match"] is False and report["oracle_deviation"] <= 1e-9
+
+    classical_3sb = cli.classical_3sb
+    monkeypatch.setattr(cli, "classical_3sb", lambda word, params: classical_3sb(word, params) + 1e-6)
+    assert cli.main(argv) == 4
+    report = json.loads(capsys.readouterr().out)
+    assert report["state_sum_match"] is True and report["oracle_deviation"] > 1e-9
+
+
 def test_verify_skips_state_sum_above_cap():
     word = " ".join(["s1"] * 25)
     r = run_cli("--braid", word, "--mode", "verify", "--output", "json")
@@ -311,22 +338,22 @@ def test_import_starts_no_blas_thread_pool():
 
 
 def test_exact_mode_loads_no_numpy():
-    # Exact calls, text and JSON, in a fresh interpreter; dataclasses cost
-    # about 10 ms of imports.
+    # Exact calls, text and JSON, with and without an angle, in a fresh
+    # interpreter; dataclasses cost about 10 ms of imports.
     code = (
         "import sys, jones3; from jones3 import cli; "
         "codes = [cli.main(['--braid', 's1 s2^-1 s1 s2^-1', '--mode', 'exact', *extra]) "
-        "for extra in ([], ['--output', 'json'])]; "
+        "for extra in ([], ['--output', 'json'], ['--phi', '1'], ['--phi-frac', '1/3'])]; "
         "print(codes, sorted({'numpy', 'dataclasses'} & set(sys.modules)))"
     )
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     lines = r.stdout.splitlines()
-    assert lines[0] == "A^8 - A^4 + 1 - A^-4 + A^-8"
+    assert lines[0] == lines[2] == lines[3] == "A^8 - A^4 + 1 - A^-4 + A^-8"
     assert json.loads(lines[1])["polynomial"] == lines[0]
-    assert lines[2] == "[0, 0] []"
+    assert lines[4] == "[0, 0, 0, 0] []"
 
 
-# Every name the package had before the float routes were imported lazily.
+# Every name the package exports.
 PACKAGE_NAMES = [
     "BraidParseError", "BraidWord", "CapExceeded", "InvalidPrecision", "LaurentPoly", "MalformedToken",
     "NonUnitaryGate", "OutsideUnitarityRegion", "PHI_MAX", "RepParams", "ShotPlan", "TraceEstimate",
@@ -339,7 +366,7 @@ PACKAGE_NAMES = [
 
 
 def test_package_names_resolve():
-    # In a fresh interpreter, where no float module is loaded before the lookup.
+    # In a fresh interpreter, with nothing imported but the package itself.
     code = "import sys, jones3; print([n for n in sys.argv[1:] if not hasattr(jones3, n)])"
     r = subprocess.run([sys.executable, "-c", code, *PACKAGE_NAMES], capture_output=True, text=True)
     assert r.stdout.strip() == "[]"
@@ -350,6 +377,17 @@ def test_package_names_resolve():
     assert jones3.compile_gate is rep2.compile_gate and jones3.PHI_MAX == rep2.PHI_MAX
     assert jones3.quantum_3sb is hadamard.quantum_3sb and jones3.ShotPlan is hadamard.ShotPlan
     assert not hasattr(jones3, "no_such_name")
+
+
+def test_import_is_light():
+    # The float modules load with the package; numpy, and dataclasses with
+    # the inspect module they import, would add to every call's start-up.
+    code = (
+        "import sys, jones3; [getattr(jones3, n) for n in sys.argv[1:]]; "
+        "print(sorted({'jones3.rep2', 'jones3.hadamard', 'numpy', 'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    r = subprocess.run([sys.executable, "-c", code, *PACKAGE_NAMES], capture_output=True, text=True)
+    assert r.stdout.strip() == "['jones3.hadamard', 'jones3.rep2']"
 
 
 def test_domain_errors_are_one_class_under_every_path():

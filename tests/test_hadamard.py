@@ -15,7 +15,7 @@ from jones3.hadamard import (
     quantum_3sb,
     shots_for,
 )
-from jones3.rep2 import compile_gate, make_params
+from jones3.rep2 import IDENTITY, compile_gate, make_params
 from jones3.tl3 import jones_exact
 from conftest import random_unitary
 
@@ -61,6 +61,21 @@ def test_non_unitary_rejected():
         estimate_trace(2 * EYE, 50)
     with pytest.raises(NonUnitaryGate):
         estimate_trace(np.array([[1, 1], [0, 1]], dtype=complex), 50)
+    with pytest.raises(NonUnitaryGate):  # an entry of gate gate^H past the float range
+        estimate_trace(((1e154 * (1 + 1j), 0j), (1.3e154 + 0j, 1 + 0j)), 50)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("position", [(0, 0), (1, 1)])
+def test_non_finite_gate_rejected(bad, position):
+    # NaN compares false with the bound, and an inf entry makes a NaN product.
+    array = np.eye(2, dtype=complex)
+    array[position] = bad
+    for gate in (array, array.tolist()):
+        with pytest.raises(NonUnitaryGate):
+            estimate_trace(gate, 10)
+        with pytest.raises(NonUnitaryGate):
+            approx_re_trace(gate, 10)
 
 
 def test_state_norm_preserved(np_rng):
@@ -73,7 +88,8 @@ def test_state_norm_preserved(np_rng):
 
 def test_exact_circuit_laws(np_rng):
     # Wiring check without sampling: P(0) from the state vector must equal
-    # the closed forms for both circuits.
+    # the closed forms for both circuits. The gate as a pair of rows gives
+    # the same final state as the array.
     for _ in range(1000):
         gate = random_unitary(np_rng)
         for k in (0, 1):
@@ -83,6 +99,12 @@ def test_exact_circuit_laws(np_rng):
             final_im = pipeline_states(gate, k, imag=True)[-1]
             p0 = np.sum(np.abs(final_im[0]) ** 2)
             assert abs((1 - 2 * p0) - gate[k, k].imag) < 1e-12
+            assert pipeline_states(gate.tolist(), k, imag=False)[-1] == final_re
+            assert pipeline_states(gate.tolist(), k, imag=True)[-1] == final_im
+
+
+def test_gate_may_be_rows():
+    assert estimate_trace(IDENTITY, 50) == estimate_trace(np.eye(2), 50)
 
 
 # --- trace estimators -----------------------------------------------------
