@@ -19,6 +19,7 @@ from .bracket import CapExceeded, bracket_state_sum
 from .braid import (
     BraidParseError,
     BraidWord,
+    DomainError,
     InvalidPrecision,
     MalformedToken,
     NonUnitaryGate,

@@ -10,8 +10,8 @@ was written in, one (generator, signed exponent) per token; the canonical
 serializer emits the prefixed form, one token per run. No free reduction is
 ever performed: the word length is part of the contract.
 
-The domain errors of every route live here too, so that they import
-without numpy.
+The domain errors of every route live here too. They share the base
+``DomainError``, which the CLI maps to exit 3.
 """
 
 from __future__ import annotations
@@ -21,7 +21,11 @@ from itertools import repeat
 from typing import Callable, Iterator
 
 
-class BraidParseError(ValueError):
+class DomainError(ValueError):
+    """An input outside the domain of a computation."""
+
+
+class BraidParseError(DomainError):
     def __init__(self, message: str, token: str, position: int):
         super().__init__(f"{message} (token {token!r} at position {position})")
         self.token = token
@@ -40,19 +44,19 @@ class MalformedToken(BraidParseError):
     """Token matches neither grammar, or mixes grammars."""
 
 
-class CapExceeded(ValueError):
+class CapExceeded(DomainError):
     """Word longer than a cap on the letters a computation expands."""
 
 
-class OutsideUnitarityRegion(ValueError):
+class OutsideUnitarityRegion(DomainError):
     """The representation is undefined for |phi| > 2 pi / 3."""
 
 
-class NonUnitaryGate(ValueError):
+class NonUnitaryGate(DomainError):
     """The Hadamard test requires a unitary gate."""
 
 
-class InvalidPrecision(ValueError):
+class InvalidPrecision(DomainError):
     """Precision parameters outside their legal ranges."""
 
 

@@ -1,10 +1,10 @@
 """Command-line front-end: exact, classical, quantum, and verify modes.
 
 Exit codes: 0 success, 1 stdout closed before the report was written
-(for example by ``| head -c 100``), 2 usage error, 3 domain error, 4
-verification failure. Reports go to stdout (JSON or compact text),
-diagnostics to stderr. The default seed is 0, overridable by the
-JONES3_SEED environment variable and by --seed.
+(for example by ``| head -c 100``), 2 usage error, 3 domain error (a
+``DomainError``), 4 verification failure. Reports go to stdout (JSON or
+compact text), diagnostics to stderr. The default seed is 0, overridable
+by the JONES3_SEED environment variable and by --seed.
 """
 
 from __future__ import annotations
@@ -17,17 +17,8 @@ import re
 import sys
 
 from .bracket import bracket_state_sum
-from .braid import (
-    BraidParseError,
-    CapExceeded,
-    InvalidPrecision,
-    NonUnitaryGate,
-    OutsideUnitarityRegion,
-    parse_braid,
-    to_text,
-    writhe,
-)
-from .hadamard import sample_jones
+from .braid import DomainError, parse_braid, to_text, writhe
+from .hadamard import quantum_3sb
 from .laurent import A
 from .rep2 import PHI_MAX, classical_3sb, make_params
 from .tl3 import jones_exact
@@ -105,7 +96,7 @@ def _run_classical(word, phi):
 
 def _run_quantum(word, phi, eps1, eps2, seed, bound_mode):
     params = make_params(phi)
-    value, estimate = sample_jones(word, params, eps1, eps2, seed=seed, bound_mode=bound_mode)
+    value, estimate = quantum_3sb(word, params, eps1, eps2, seed=seed, bound_mode=bound_mode)
     return {
         **_angle(params),
         "n": estimate.n,
@@ -167,7 +158,9 @@ def _write(text: str, status: int) -> int:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    # Joined to its value, as argparse reads a separate "-1/2" as an option.
+    words = iter(sys.argv[1:] if argv is None else argv)
+    args = parser.parse_args([f"{w}={next(words, '')}" if w == "--phi-frac" else w for w in words])
     phi = _resolve_phi(parser, args)
 
     if args.mode in ("classical", "quantum") and phi is None:
@@ -199,7 +192,7 @@ def main(argv=None) -> int:
             status = 0 if ok else 4
         # After the mode, which rejects words too long for len() to count.
         report = {"mode": args.mode, "braid": to_text(word), "L": len(word), "writhe": writhe(word), **body}
-    except (BraidParseError, OutsideUnitarityRegion, InvalidPrecision, NonUnitaryGate, CapExceeded) as exc:
+    except DomainError as exc:
         error = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         print(f"error: {exc}", file=sys.stderr)
         return _write(json.dumps(error), 3)

@@ -18,7 +18,7 @@ import math
 from typing import NamedTuple
 
 from .braid import BraidWord, InvalidPrecision, NonUnitaryGate, writhe
-from .rep2 import IDENTITY, Matrix, RepParams, compile_gate, make_params
+from .rep2 import IDENTITY, Matrix, RepParams, compile_gate
 from .tl3 import jones_value, mul
 
 _RE, _IM = 0, 1
@@ -89,8 +89,8 @@ def shots_for(epsilon1: float, epsilon2: float, bound_mode: str = "paper") -> Sh
         numerator = 4.0 * log_term
     else:
         raise InvalidPrecision(f"bound_mode must be 'paper' or 'rigorous', got {bound_mode!r}")
-    # epsilon1**2 underflows to 0 below about 2e-162.
-    shots = numerator / epsilon1**2 if epsilon1**2 else math.inf
+    # Divided twice: epsilon1**2 raises OverflowError past about 1.3e154.
+    shots = numerator / epsilon1 / epsilon1
     if not shots < _MAX_SHOTS:
         raise InvalidPrecision(f"epsilon1 = {epsilon1} plans {shots:.3g} shots per entry, 2^63 or more")
     return ShotPlan(epsilon1, epsilon2, max(math.ceil(shots), 1), bound_mode)
@@ -162,21 +162,9 @@ def approx_im_trace(gate: Matrix, n: int, seed: int = 0) -> float:
 # --- end-to-end sampled evaluator ----------------------------------------
 
 
-def quantum_3sb(
-    word: BraidWord,
-    phi: float,
-    epsilon1: float,
-    epsilon2: float,
-    seed: int = 0,
-    bound_mode: str = "paper",
-) -> tuple[complex, TraceEstimate]:
-    """Sampled Jones value at t = e^{i phi} plus the raw trace estimate."""
-    return sample_jones(word, make_params(phi), epsilon1, epsilon2, seed, bound_mode)
-
-
-def sample_jones(word: BraidWord, params: RepParams, epsilon1: float, epsilon2: float, seed: int = 0,
-                 bound_mode: str = "paper") -> tuple[complex, TraceEstimate]:
-    """``quantum_3sb`` at the angle of an already built parameter bundle.
+def quantum_3sb(word: BraidWord, params: RepParams, epsilon1: float, epsilon2: float, seed: int = 0,
+                bound_mode: str = "paper") -> tuple[complex, TraceEstimate]:
+    """Sampled Jones value at the angle of ``params``, plus the raw trace estimate.
 
     The gate product is compiled once (O(L)); each shot is O(1) afterwards,
     so the sampling stage costs O(n) independent of the word length.

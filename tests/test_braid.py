@@ -2,12 +2,14 @@ import pytest
 
 from jones3.braid import (
     BraidWord,
+    CapExceeded,
     MalformedToken,
     UnknownGenerator,
     ZeroExponent,
     conjugate,
     inverse,
     parse_braid,
+    run_images,
     to_text,
     writhe,
 )
@@ -142,3 +144,23 @@ def test_serializer_round_trip(py_rng):
     for _ in range(1000):
         word = random_word(py_rng, 20)
         assert parse_braid(to_text(word)) == word
+
+
+def test_run_images_builds_each_distinct_run_once():
+    word = parse_braid("s1^2 s2 s1^2 s1^-2 s2")
+    calls = []
+
+    def image(j, k):
+        calls.append((j, k))
+        return f"s{j}^{k}"
+
+    images, codes = run_images(word, image, cap=8)
+    assert calls == [(1, 2), (2, 1), (1, -2)]
+    assert codes == [0, 1, 0, 2, 1]
+    assert [images[c] for c in codes] == ["s1^2", "s2^1", "s1^2", "s1^-2", "s2^1"]
+    # The cap is checked on the sum of |k| before any image is built; len()
+    # of the second word would raise OverflowError.
+    for text, cap in (("s1^2 s2 s1^2 s1^-2 s2", 7), (f"s1^{2**63}", 10**7)):
+        with pytest.raises(CapExceeded):
+            run_images(parse_braid(text), image, cap)
+    assert len(calls) == 3

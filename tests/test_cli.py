@@ -4,6 +4,8 @@ import random
 import subprocess
 import sys
 
+import pytest
+
 BASE = [sys.executable, "-m", "jones3"]
 
 
@@ -68,9 +70,14 @@ def test_phi_frac_takes_integers_and_fractions_only():
         r = run_cli("--braid", "s1", "--mode", "classical", "--phi-frac", text, timeout=5)
         assert r.returncode == 2, text
         assert "--phi-frac" in r.stderr
-    r = run_cli("--braid", "s1", "--mode", "classical", "--phi-frac=-1/2", "--output", "json")
-    assert r.returncode == 0
-    assert abs(json.loads(r.stdout)["phi"] + math.pi / 2) < 1e-15
+    for args in (["--phi-frac"], ["--phi-frac", "1/3", "--phi", "1"]):
+        r = run_cli("--braid", "s1", "--mode", "classical", *args)
+        assert r.returncode == 2, args
+        assert "--phi-frac" in r.stderr
+    for args in (["--phi-frac=-1/2"], ["--phi-frac", "-1/2"]):
+        r = run_cli("--braid", "s1", "--mode", "classical", *args, "--output", "json")
+        assert r.returncode == 0, args
+        assert abs(json.loads(r.stdout)["phi"] + math.pi / 2) < 1e-15
 
 
 def test_phi_outside_region_is_domain_error():
@@ -258,7 +265,7 @@ def test_negative_oracle_cap_is_usage_error():
 
 
 def test_oracle_cap_above_default_is_usage_error():
-    # 2^40 states would take hours.
+    # Past MAX_ORACLE_CAP, which keeps verify's reports as they were; the sweep itself is O(L).
     r = run_cli("--braid", "s1 s2", "--mode", "verify", "--oracle-cap", "21")
     assert r.returncode == 2
     assert "--oracle-cap" in r.stderr
@@ -355,9 +362,9 @@ def test_exact_mode_loads_no_numpy():
 
 # Every name the package exports.
 PACKAGE_NAMES = [
-    "BraidParseError", "BraidWord", "CapExceeded", "InvalidPrecision", "LaurentPoly", "MalformedToken",
-    "NonUnitaryGate", "OutsideUnitarityRegion", "PHI_MAX", "RepParams", "ShotPlan", "TraceEstimate",
-    "UnknownGenerator", "ZeroExponent", "ZeroPoint", "approx_im_trace", "approx_re_trace",
+    "BraidParseError", "BraidWord", "CapExceeded", "DomainError", "InvalidPrecision", "LaurentPoly",
+    "MalformedToken", "NonUnitaryGate", "OutsideUnitarityRegion", "PHI_MAX", "RepParams", "ShotPlan",
+    "TraceEstimate", "UnknownGenerator", "ZeroExponent", "ZeroPoint", "approx_im_trace", "approx_re_trace",
     "bracket", "bracket_state_sum", "braid", "classical_3sb", "compile_gate", "conjugate",
     "estimate_trace", "hadamard", "inverse", "jones_exact", "jones_rep", "jones_value", "laurent",
     "make_params", "markov_trace", "os", "parse_braid", "quantum_3sb", "rep2", "shots_for", "tl3",
@@ -394,8 +401,50 @@ def test_domain_errors_are_one_class_under_every_path():
     import jones3
     from jones3 import bracket, braid, cli, hadamard, rep2
 
-    assert jones3.CapExceeded is braid.CapExceeded is bracket.CapExceeded is cli.CapExceeded
-    assert (jones3.OutsideUnitarityRegion is braid.OutsideUnitarityRegion
-            is rep2.OutsideUnitarityRegion is cli.OutsideUnitarityRegion)
-    assert jones3.NonUnitaryGate is braid.NonUnitaryGate is hadamard.NonUnitaryGate is cli.NonUnitaryGate
-    assert jones3.InvalidPrecision is braid.InvalidPrecision is hadamard.InvalidPrecision is cli.InvalidPrecision
+    assert jones3.DomainError is braid.DomainError is cli.DomainError
+    assert jones3.CapExceeded is braid.CapExceeded is bracket.CapExceeded
+    assert jones3.OutsideUnitarityRegion is braid.OutsideUnitarityRegion is rep2.OutsideUnitarityRegion
+    assert jones3.NonUnitaryGate is braid.NonUnitaryGate is hadamard.NonUnitaryGate
+    assert jones3.InvalidPrecision is braid.InvalidPrecision is hadamard.InvalidPrecision
+    for error in (braid.BraidParseError, braid.CapExceeded, braid.OutsideUnitarityRegion, braid.NonUnitaryGate,
+                  braid.InvalidPrecision):
+        assert issubclass(error, braid.DomainError), error
+
+
+def test_every_domain_error_exits_3_and_no_other_error_does(monkeypatch, capsys):
+    from jones3 import cli
+
+    class NewDomainError(cli.DomainError):
+        pass
+
+    def jones_exact(word):
+        raise error
+
+    monkeypatch.setattr(cli, "jones_exact", jones_exact)
+    error = NewDomainError("outside")
+    assert cli.main(["--braid", "s1", "--mode", "exact"]) == 3
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "NewDomainError"
+    error = ValueError("not a domain error")
+    with pytest.raises(ValueError, match="not a domain error"):
+        cli.main(["--braid", "s1", "--mode", "exact"])
+
+
+# Around a valid call, each numeric option in turn takes each of these.
+GRID_VALUES = ["nan", "inf", "-inf", "0", "-0.0", "5e-324", "1e-200", "1e154", "1e200", "1.7e308",
+               repr(2 * math.pi / 3), str(2**64)]
+
+
+def test_numeric_options_never_raise():
+    from jones3 import cli
+
+    valid = {"--phi": "1", "--eps1": "0.1", "--eps2": "0.1", "--seed": "0"}
+    for mode in ("exact", "classical", "quantum", "verify"):
+        for option in valid:
+            for value in GRID_VALUES:
+                options = [f"{k}={v}" for k, v in {**valid, option: value}.items()]
+                argv = ["--braid", "s1 s2", "--mode", mode, *options]
+                try:
+                    status = cli.main(argv)
+                except SystemExit as exc:
+                    status = exc.code
+                assert status in (0, 2, 3, 4), (argv, status)

@@ -279,7 +279,7 @@ def test_coverage_paper_mode(eps1, eps2):
 
 
 def test_quantum_empty_word_real_part_exact():
-    value, estimate = quantum_3sb(BraidWord(), 0.0, 0.5, 0.5, seed=1)
+    value, estimate = quantum_3sb(BraidWord(), make_params(0.0), 0.5, 0.5, seed=1)
     # U = I: the real circuit is deterministic, so Re is exactly
     # tr(I) + (delta^2 - 2) = 4. The imaginary circuit is a fair coin, so
     # the imaginary part is sampling noise around 0, not exactly 0.
@@ -290,13 +290,13 @@ def test_quantum_empty_word_real_part_exact():
 
 def test_quantum_matches_exact_oracle_statistically():
     word = parse_braid("s1 s2^-1 s1 s2^-1")
-    phi = math.pi / 2
+    params = make_params(math.pi / 2)
     eps1, eps2 = 0.05, 0.05
-    expected = jones_exact(word).eval(make_params(phi).alpha)
+    expected = jones_exact(word).eval(params.alpha)
     hits = 0
     runs = 400
     for seed in range(runs):
-        value, _ = quantum_3sb(word, phi, eps1, eps2, seed=seed, bound_mode="rigorous")
+        value, _ = quantum_3sb(word, params, eps1, eps2, seed=seed, bound_mode="rigorous")
         if abs(value.real - expected.real) <= eps1 and abs(value.imag - expected.imag) <= eps1:
             hits += 1
     assert hits / runs >= 1 - eps2
@@ -306,9 +306,9 @@ def test_quantum_propagates_domain_errors():
     from jones3.rep2 import OutsideUnitarityRegion
 
     with pytest.raises(OutsideUnitarityRegion):
-        quantum_3sb(BraidWord(), math.pi, 0.1, 0.1)
+        quantum_3sb(BraidWord(), make_params(math.pi), 0.1, 0.1)
     with pytest.raises(InvalidPrecision):
-        quantum_3sb(BraidWord(), 0.0, -1.0, 0.1)
+        quantum_3sb(BraidWord(), make_params(0.0), -1.0, 0.1)
 
 
 def test_seed_outside_64_bits_rejected():

@@ -259,7 +259,7 @@ def test_million_letter_gate_stays_unitary():
     gate = compile_gate(word, p)
     assert np.max(np.abs(gate @ gate.conj().T - EYE)) <= 1e-11
     eps1 = 0.05
-    _, estimate = quantum_3sb(word, 1.0, eps1, 1e-9, seed=0, bound_mode="rigorous")
+    _, estimate = quantum_3sb(word, p, eps1, 1e-9, seed=0, bound_mode="rigorous")
     trace = gate[0, 0] + gate[1, 1]
     assert abs(estimate.re_estimate - trace.real) <= eps1
     assert abs(estimate.im_estimate - trace.imag) <= eps1
