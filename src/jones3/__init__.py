@@ -4,9 +4,8 @@ Exact Laurent-polynomial computation, a deterministic O(L) closed-form
 matrix evaluator on the unit circle, and a simulated quantum trace
 estimator, cross-checked by an independent state sum.
 
-Importing the package loads no numpy: it is imported by the first float
-gate (``rep2.compile_gate``) and the first keyed draw
-(``hadamard._count_zeros``), so exact mode runs without it.
+Importing the package loads no numpy: only the first float gate
+(``rep2.compile_gate``) imports it, so exact mode runs without it.
 """
 
 import os

@@ -158,9 +158,10 @@ def _write(text: str, status: int) -> int:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    # Joined to its value, as argparse reads a separate "-1/2" as an option.
+    # --phi-frac, or a prefix argparse takes for it, is joined to its value: "-1/2" reads as an option.
     words = iter(sys.argv[1:] if argv is None else argv)
-    args = parser.parse_args([f"{w}={next(words, '')}" if w == "--phi-frac" else w for w in words])
+    args = parser.parse_args([f"{w}={next(words, '')}" if w.startswith("--phi-") and "--phi-frac".startswith(w)
+                              else w for w in words])
     phi = _resolve_phi(parser, args)
 
     if args.mode in ("classical", "quantum") and phi is None:

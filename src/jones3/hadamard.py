@@ -8,8 +8,9 @@ gates, pairs of rows multiplied with ``tl3.mul``, to the 4-amplitude state;
 the closed forms live only in tests. A (2, 2) array may stand for a gate.
 
 Only the count of zeros in n shots is used, and n independent Bernoulli(p0)
-shots give Binomial(n, p0) zeros, so each tally is one binomial draw from a
-Philox stream keyed by (seed, circuit, entry).
+shots give Binomial(n, p0) zeros, so each tally is one ``philox.binomial``
+draw keyed by (seed, circuit, entry): numpy's Philox4x64-10 binomial,
+computed in plain Python with the same bits.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .rep2 import IDENTITY, Matrix, RepParams, compile_gate
 from .tl3 import jones_value, mul
 
 _RE, _IM = 0, 1
-_MAX_SHOTS = 1 << 63  # numpy's binomial takes n as a C long
+_MAX_SHOTS = 1 << 63  # philox.binomial keeps numpy's int64 arithmetic on n
 
 _R = complex(1.0 / math.sqrt(2.0))
 _HADAMARD: Matrix = ((_R, _R), (_R, -_R))
@@ -101,16 +102,15 @@ def shots_for(epsilon1: float, epsilon2: float, bound_mode: str = "paper") -> Sh
 
 def _count_zeros(p0: float, n: int, key: tuple[int, int, int]) -> int:
     """Zeros among n Bernoulli(p0) shots, as one keyed binomial draw."""
-    import numpy as np
+    from . import philox
 
     seed, circuit, entry = key
     if not 0 <= seed < 1 << 64:
         raise InvalidPrecision(f"seed must lie in [0, 2^64), got {seed}")
     # Injectively pack the stream coordinates into the 128-bit Philox key.
-    rng = np.random.Generator(np.random.Philox(key=seed | (circuit << 64) | (entry << 65)))
     # A gate that passes the unitarity gate can put p0 about 1e-10 past 1,
     # which binomial rejects.
-    return int(rng.binomial(n, min(max(p0, 0.0), 1.0)))
+    return philox.binomial(seed | (circuit << 64) | (entry << 65), n, min(max(p0, 0.0), 1.0))
 
 
 class TraceEstimate(NamedTuple):

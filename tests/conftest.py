@@ -14,6 +14,15 @@ os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("P
 
 from jones3.braid import BraidWord  # noqa: E402
 
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves
+    pass
+else:
+    # The same examples on every run, no per-example deadline, no example database on disk.
+    settings.register_profile("deterministic", derandomize=True, deadline=None, database=None)
+    settings.load_profile("deterministic")
+
 _ALPHABET = [(1, 1), (1, -1), (2, 1), (2, -1)]
 
 

@@ -74,7 +74,7 @@ def test_phi_frac_takes_integers_and_fractions_only():
         r = run_cli("--braid", "s1", "--mode", "classical", *args)
         assert r.returncode == 2, args
         assert "--phi-frac" in r.stderr
-    for args in (["--phi-frac=-1/2"], ["--phi-frac", "-1/2"]):
+    for args in (["--phi-frac=-1/2"], ["--phi-frac", "-1/2"], ["--phi-fr", "-1/2"], ["--phi-", "-1/2"]):
         r = run_cli("--braid", "s1", "--mode", "classical", *args, "--output", "json")
         assert r.returncode == 0, args
         assert abs(json.loads(r.stdout)["phi"] + math.pi / 2) < 1e-15
