@@ -9,8 +9,8 @@ the closed forms live only in tests. A (2, 2) array may stand for a gate.
 
 Only the count of zeros in n shots is used, and n independent Bernoulli(p0)
 shots give Binomial(n, p0) zeros, so each tally is one ``philox.binomial``
-draw keyed by (seed, circuit, entry): numpy's Philox4x64-10 binomial,
-computed in plain Python with the same bits.
+draw keyed by (seed, circuit, entry): the count of n keyed uniforms below p0,
+found by descending through their order statistics, so it is monotone in p0.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .rep2 import IDENTITY, Matrix, RepParams, compile_gate
 from .tl3 import jones_value, mul
 
 _RE, _IM = 0, 1
-_MAX_SHOTS = 1 << 63  # philox.binomial keeps numpy's int64 arithmetic on n
+_MAX_SHOTS = 1 << 63  # keeps philox.binomial's tree node numbers (below 2^60) in the counter's 64-bit word
 
 _R = complex(1.0 / math.sqrt(2.0))
 _HADAMARD: Matrix = ((_R, _R), (_R, -_R))

@@ -153,6 +153,20 @@ def test_reproducibility():
     assert estimate_trace(gate, 10_000, seed=100) != a
 
 
+def test_one_ulp_change_of_the_gate_moves_no_count():
+    # The imaginary-part circuit's P(0) on entry 0 sits 1 ulp below 1/2, and 1 ulp above it once
+    # u00's real part moves up one ulp.
+    c, s = math.cos(0.05), math.sin(0.05)
+    gate = np.array([[complex(c, -4e-16), -s], [s, complex(c, 4e-16)]])
+    moved = gate.copy()
+    moved[0, 0] = complex(math.nextafter(c, 2), -4e-16)
+    p0s = [sum(abs(z) ** 2 for z in pipeline_states(g, 0, imag=True)[-1][0]) for g in (gate, moved)]
+    assert p0s[0] < 0.5 < p0s[1]
+    for n in (185, 5_527_391):
+        for seed in range(50):
+            assert estimate_trace(gate, n, seed).shot_counts == estimate_trace(moved, n, seed).shot_counts
+
+
 def test_p0_just_past_one_is_clamped():
     # Passes the 1e-10 unitarity gate, yet P(0) of the real circuit exceeds 1.
     est = estimate_trace((1 + 4e-11) * np.eye(2), 1000)
@@ -198,7 +212,8 @@ def test_shots_for_rejects_bad_inputs():
         shots_for(0.1, 1.5)
     with pytest.raises(InvalidPrecision):
         shots_for(0.1, 0.1, "loose")
-    # NaN, an eps1 whose square underflows, and plans past numpy's 2^63 limit.
+    # NaN, an eps1 whose square underflows, and plans of 2^63 shots or more, the
+    # draw's limit, which keeps its tree's node numbers within one 64-bit word.
     for eps1, mode in ((math.nan, "paper"), (1e-200, "paper"), (1e-9, "rigorous")):
         with pytest.raises(InvalidPrecision):
             shots_for(eps1, 0.1, mode)
